@@ -357,20 +357,12 @@ let analyze_cmd =
     let s =
       match resumed with
       | Some s -> s
-      | None ->
-          let prog =
-            match Api.compile ~trace (`File file) with
-            | Ok (p, _) -> p
-            | Error e -> fail e
-          in
-          let roots =
-            match Api.resolve_roots prog roots with
-            | Ok r -> r
-            | Error e -> fail e
-          in
-          (match
-             Api.analyze_program ~config ~mode ~on_budget ~trace prog ~roots
-           with
+      | None -> (
+          (* the full pipeline, so wall and CPU time cover the frontend *)
+          match
+            Api.analyze ~config ~mode ~on_budget ~trace ~source:(`File file)
+              ~roots ()
+          with
           | Ok s -> s
           | Error e -> fail e)
     in

@@ -88,7 +88,10 @@ type summary = {
   trace : Trace.t;  (** counters always; phases/events when enabled *)
   reachable : string list;  (** qualified reachable-method names, in
                                 discovery order *)
-  wall_s : float;  (** wall-clock time of compile + solve + metrics *)
+  wall_s : float;
+      (** wall-clock time of the entry point's whole span: compile +
+          solve + metrics for {!analyze}, solve + metrics for
+          {!analyze_program} and {!resume_snapshot} *)
   cpu_s : float;  (** CPU time of the same span *)
 }
 

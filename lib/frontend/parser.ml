@@ -11,7 +11,7 @@
 exception Error of string * Lexer.pos
 
 type t = {
-  toks : (Token.t * Lexer.pos) array;
+  buf : Lexer.tokens;
   mutable i : int;
   mutable recovering : bool;
       (** accumulate diagnostics and resynchronize instead of raising out
@@ -19,15 +19,14 @@ type t = {
   mutable diags : Diag.t list;  (** newest first *)
 }
 
-let of_string src =
-  { toks = Array.of_list (Lexer.tokenize src); i = 0; recovering = false; diags = [] }
-let peek p = fst p.toks.(p.i)
-let peek2 p = if p.i + 1 < Array.length p.toks then fst p.toks.(p.i + 1) else Token.EOF
-let peekn p n = if p.i + n < Array.length p.toks then fst p.toks.(p.i + n) else Token.EOF
-let pos p = snd p.toks.(p.i)
+let of_string src = { buf = Lexer.tokenize src; i = 0; recovering = false; diags = [] }
+let peekn p n = if p.i + n < p.buf.Lexer.count then p.buf.Lexer.toks.(p.i + n) else Token.EOF
+let peek p = p.buf.Lexer.toks.(p.i)
+let peek2 p = peekn p 1
+let pos p = Lexer.pos_at p.buf p.i
 let errorf p fmt = Format.kasprintf (fun s -> raise (Error (s, pos p))) fmt
 
-let advance p = if p.i + 1 < Array.length p.toks then p.i <- p.i + 1
+let advance p = if p.i + 1 < p.buf.Lexer.count then p.i <- p.i + 1
 
 let eat p tok =
   if peek p = tok then advance p

@@ -48,28 +48,30 @@ type t =
   | OROR
   | EOF
 
-let keyword_table =
-  [
-    ("class", KW_CLASS);
-    ("extends", KW_EXTENDS);
-    ("abstract", KW_ABSTRACT);
-    ("static", KW_STATIC);
-    ("var", KW_VAR);
-    ("if", KW_IF);
-    ("else", KW_ELSE);
-    ("while", KW_WHILE);
-    ("return", KW_RETURN);
-    ("new", KW_NEW);
-    ("null", KW_NULL);
-    ("this", KW_THIS);
-    ("true", KW_TRUE);
-    ("false", KW_FALSE);
-    ("instanceof", KW_INSTANCEOF);
-    ("int", KW_INT);
-    ("boolean", KW_BOOLEAN);
-    ("void", KW_VOID);
-    ("throw", KW_THROW);
-  ]
+(** [of_word s] is the keyword spelled [s], or [IDENT s].  The match
+    compiles to a fixed decision tree, so the lookup costs the same for
+    every identifier whatever the number of keywords. *)
+let of_word = function
+  | "class" -> KW_CLASS
+  | "extends" -> KW_EXTENDS
+  | "abstract" -> KW_ABSTRACT
+  | "static" -> KW_STATIC
+  | "var" -> KW_VAR
+  | "if" -> KW_IF
+  | "else" -> KW_ELSE
+  | "while" -> KW_WHILE
+  | "return" -> KW_RETURN
+  | "new" -> KW_NEW
+  | "null" -> KW_NULL
+  | "this" -> KW_THIS
+  | "true" -> KW_TRUE
+  | "false" -> KW_FALSE
+  | "instanceof" -> KW_INSTANCEOF
+  | "int" -> KW_INT
+  | "boolean" -> KW_BOOLEAN
+  | "void" -> KW_VOID
+  | "throw" -> KW_THROW
+  | s -> IDENT s
 
 let to_string = function
   | INT n -> string_of_int n

@@ -447,6 +447,35 @@ let test_batch_sigterm_resume () =
       Alcotest.(check int) "all jobs ok" n_jobs
         (int_member ~ctx:"resume summary" "ok" j))
 
+(* [analyze]'s reported wall time covers the whole run, frontend
+   included: it is at least the parse + typecheck + lower phases it
+   reports next to it.  A Table-1 program makes the frontend the larger
+   share, so a clock started after compilation cannot pass. *)
+let test_analyze_wall_covers_frontend () =
+  in_temp_dir (fun dir ->
+      let src = Filename.concat dir "sunflow.mj" in
+      let code, _, err = run_cli ~dir [ "gen"; "--bench"; "sunflow"; "-o"; src ] in
+      if code <> 0 then Alcotest.failf "gen failed (%d): %s" code err;
+      let code, out, err = run_cli ~dir [ "analyze"; src; "--format"; "json" ] in
+      if code <> 0 then Alcotest.failf "analyze failed (%d): %s" code err;
+      let ctx = "analyze summary" in
+      let j = json_of ~ctx out in
+      let frontend =
+        match K.Json.member "phases" j with
+        | Some (K.Json.Arr phases) ->
+            List.fold_left
+              (fun acc ph ->
+                match str_member ~ctx "name" ph with
+                | "parse" | "typecheck" | "lower" -> acc + int_member ~ctx "wall_us" ph
+                | _ -> acc)
+              0 phases
+        | _ -> Alcotest.failf "%s: missing phases array" ctx
+      in
+      let wall = int_member ~ctx "wall_us" j in
+      if frontend = 0 then Alcotest.fail "no frontend phase was timed";
+      if wall < frontend then
+        Alcotest.failf "wall_us %d is less than the frontend phases' %d us" wall frontend)
+
 let suite =
   ( "cli",
     [
@@ -462,4 +491,6 @@ let suite =
         `Quick test_serve_kill9_resume_cli;
       Alcotest.test_case "batch: SIGTERM flushes the journal and resumes"
         `Quick test_batch_sigterm_resume;
+      Alcotest.test_case "analyze wall time covers the frontend" `Quick
+        test_analyze_wall_covers_frontend;
     ] )

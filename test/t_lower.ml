@@ -188,6 +188,31 @@ let test_no_critical_edges_shape () =
       | _ -> ())
     body.Bl.blocks
 
+(* Complexity regression: lowering and validation must stay linear in the
+   input.  Validate once rescanned a block for every same-block use, which
+   made a long expression chain quadratic (~30 s for 20k terms); 2 s is a
+   generous bound for the linear pipeline. *)
+let compiles_within ~secs name src =
+  let t0 = Unix.gettimeofday () in
+  let prog = F.Frontend.compile src in
+  Program.iter_meths prog (fun m -> Option.iter Validate.run m.Program.m_body);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > secs then Alcotest.failf "%s: compile + validate took %.2f s (bound %.1f s)" name dt secs
+
+let test_long_chain_linear () =
+  let terms = String.concat " + " (List.init 20_000 (fun _ -> "1")) in
+  compiles_within ~secs:2.0 "20k-term chain" (wrap (Printf.sprintf "int m() { return %s; }" terms))
+
+let test_nested_ifs_linear () =
+  let n = 400 in
+  let b = Buffer.create (n * 20) in
+  Buffer.add_string b "int m(int y) { int x = 0; ";
+  for _ = 1 to n do Buffer.add_string b "if (y < 1) { " done;
+  Buffer.add_string b "x = 1; ";
+  for _ = 1 to n do Buffer.add_string b "} " done;
+  Buffer.add_string b "return x; }";
+  compiles_within ~secs:2.0 "400 nested ifs" (wrap (Buffer.contents b))
+
 let suite =
   ( "lower",
     [
@@ -203,4 +228,6 @@ let suite =
       Alcotest.test_case "arithmetic kept concrete" `Quick test_arith_kept_concrete;
       Alcotest.test_case "generated programs validate" `Quick test_generated_programs_validate;
       Alcotest.test_case "no critical edges" `Quick test_no_critical_edges_shape;
+      Alcotest.test_case "20k-term chain compiles in linear time" `Quick test_long_chain_linear;
+      Alcotest.test_case "400 nested ifs compile in linear time" `Quick test_nested_ifs_linear;
     ] )

@@ -78,6 +78,40 @@ let test_use_before_def_in_block () =
     e.Bl.b_insns @ [ Bl.Store { recv = defined_in_l1; field = Ids.Field.of_int 0; src = defined_in_l1 } ];
   rejects "dominated" body
 
+(* The remaining same-block cases go through the instruction-index check
+   rather than dominance.  Block 1 of [mk_body] is the label block whose
+   only instruction defines the constant flowing into the phi. *)
+let l1_const body =
+  match body.Bl.blocks.(1).Bl.b_insns with
+  | [ Bl.Assign (v, Bl.Const _) ] -> v
+  | _ -> Alcotest.fail "expected block 1 to be a single constant"
+
+let use_of v = Bl.Store { recv = v; field = Ids.Field.of_int 0; src = v }
+
+let test_same_block_use_before_def () =
+  let body = mk_body () in
+  let l1 = body.Bl.blocks.(1) in
+  l1.Bl.b_insns <- use_of (l1_const body) :: l1.Bl.b_insns;
+  rejects "before its definition" body
+
+let test_self_use_rejected () =
+  (* v <- v + v: the use sits at the defining instruction's own index *)
+  let body = mk_body () in
+  let v = l1_const body in
+  body.Bl.blocks.(1).Bl.b_insns <- [ Bl.Assign (v, Bl.Arith (Bl.Add, v, v)) ];
+  rejects "before its definition" body
+
+let test_phi_and_param_use_at_zero () =
+  let body = mk_body () in
+  let entry = body.Bl.blocks.(0) and m = body.Bl.blocks.(3) in
+  let param = List.hd body.Bl.params in
+  let phi = (List.hd m.Bl.b_phis).Bl.phi_var in
+  entry.Bl.b_insns <- use_of param :: entry.Bl.b_insns;
+  m.Bl.b_insns <- use_of phi :: m.Bl.b_insns;
+  match Validate.check body with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "phi / parameter use at instruction 0 rejected: %s" msg
+
 let test_jump_to_label_rejected () =
   let body = mk_body () in
   (* retarget the merge's predecessors: make l2 jump to l1 (a label) *)
@@ -120,6 +154,11 @@ let suite =
       Alcotest.test_case "phi arity mismatch rejected" `Quick test_phi_arity;
       Alcotest.test_case "phi on label block rejected" `Quick test_phi_on_label_block;
       Alcotest.test_case "undominated use rejected" `Quick test_use_before_def_in_block;
+      Alcotest.test_case "same-block use before def rejected" `Quick
+        test_same_block_use_before_def;
+      Alcotest.test_case "use by its own definition rejected" `Quick test_self_use_rejected;
+      Alcotest.test_case "phi and param use at insn 0 accepted" `Quick
+        test_phi_and_param_use_at_zero;
       Alcotest.test_case "jump to label rejected" `Quick test_jump_to_label_rejected;
       Alcotest.test_case "pred list consistency" `Quick test_pred_list_consistency;
       Alcotest.test_case "dominance on diamond" `Quick test_dominance_diamond;
