@@ -10,11 +10,7 @@
      dune exec bench/main.exe json [opts]     -- machine-readable perf rows
                                                  (--benches a,b  --min-dedup-ratio X
                                                   --check-product-live-flows
-                                                  --jobs 1,4 (solver domains;
-                                                  dedup rows per job count)
                                                   -o FILE; default BENCH_<n>.json)
-     dune exec bench/main.exe speedup [opts]  -- parallel solver scaling table
-                                                 (--benches a,b  --jobs 1,2,4,8)
 
    Environment:
      SKIPFLOW_SCALE   workload scale relative to the paper's method counts
@@ -64,19 +60,22 @@ let analyze ?mode ?trace config prog main =
       prerr_endline ("bench: " ^ Api.error_message e);
       exit 1
 
-(* Each repetition carries its own timed trace, so the returned summary's
-   phase breakdown belongs to the (last) measured run. *)
-let measure ?mode ~reps config prog main =
-  let times = ref [] in
-  let result = ref None in
-  for _ = 1 to max 1 reps do
-    let trace = C.Trace.create ~timers:true () in
-    let t0 = Unix.gettimeofday () in
-    let s = analyze ?mode ~trace config prog main in
-    times := (Unix.gettimeofday () -. t0) :: !times;
-    result := Some s
-  done;
-  (Option.get !result, median !times)
+(* Each repetition carries its own timed trace.  [keep] projects a
+   repetition's wall time and summary to what the caller reports, right
+   after that repetition, so no earlier engine stays live; the result is
+   the median-time repetition's projection, so its phase breakdown comes
+   from the same run as its time (no phase can exceed it). *)
+let measure ?mode ~reps ~keep config prog main =
+  let runs =
+    List.init (max 1 reps) (fun _ ->
+        let trace = C.Trace.create ~timers:true () in
+        let t0 = Unix.gettimeofday () in
+        let s = analyze ?mode ~trace config prog main in
+        let t = Unix.gettimeofday () -. t0 in
+        (t, keep t s))
+  in
+  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) runs in
+  snd (List.nth sorted (List.length sorted / 2))
 
 (* per-phase wall milliseconds out of a run's trace *)
 let phase_ms trace name =
@@ -95,15 +94,15 @@ let run_bench (b : W.Suites.bench) : row * row =
   let n = Program.num_meths prog in
   let reps = if n < 2000 then 5 else if n < 10000 then 3 else 1 in
   let mk config name =
-    let s, t = measure ~reps config prog main in
-    let m = s.Api.metrics in
-    {
-      r_bench = b;
-      r_config = name;
-      r_time_s = t;
-      r_total_s = t +. (float_of_int m.C.Metrics.binary_size *. compile_cost_per_insn);
-      r_m = m;
-    }
+    measure ~reps config prog main ~keep:(fun t s ->
+        let m = s.Api.metrics in
+        {
+          r_bench = b;
+          r_config = name;
+          r_time_s = t;
+          r_total_s = t +. (float_of_int m.C.Metrics.binary_size *. compile_cost_per_insn);
+          r_m = m;
+        })
   in
   let pta = mk C.Config.pta "PTA" in
   let sf = mk C.Config.skipflow "SkipFlow" in
@@ -257,16 +256,18 @@ let print_product () =
       let params = W.Suites.params_of ~scale b in
       let prog, main = W.Gen.compile params in
       let line (pname, config) =
-        let s, t = measure ~reps:3 config prog main in
-        let st = C.Engine.stats s.Api.engine in
-        let ctx = K.Checks.make_ctx ~engine:s.Api.engine ~roots:[ main ] in
-        let dead_blocks = List.length (K.Checks.dead_blocks ctx) in
+        let reach, live_flows, dead_blocks, t =
+          measure ~reps:3 config prog main ~keep:(fun t s ->
+              let ctx = K.Checks.make_ctx ~engine:s.Api.engine ~roots:[ main ] in
+              ( C.Engine.reachable_count s.Api.engine,
+                (C.Engine.stats s.Api.engine).C.Engine.live_flows,
+                List.length (K.Checks.dead_blocks ctx),
+                t ))
+        in
         Printf.printf "%-12s %-22s %-8s %7d %11d %10d %10.1f\n" b.W.Suites.suite
           (if pname = "flat" then b.W.Suites.name else "")
-          pname
-          (C.Engine.reachable_count s.Api.engine)
-          st.C.Engine.live_flows dead_blocks (t *. 1000.);
-        (C.Engine.reachable_count s.Api.engine, st.C.Engine.live_flows)
+          pname reach live_flows dead_blocks (t *. 1000.);
+        (reach, live_flows)
       in
       let fr, ff = line ("flat", C.Config.skipflow) in
       let pr, pf = line ("product", product_config) in
@@ -337,7 +338,6 @@ type jrow = {
   j_bench : string;
   j_config : string;
   j_pval : string;  (** primitive value domain: "flat" or "product" *)
-  j_jobs : int;  (** solver worker domains ([Config.jobs]) for the row *)
   j_time_ms : float;
   j_build_ms : float;  (** PVPG construction (inside the solve) *)
   j_solve_ms : float;  (** worklist drain to the fixed point *)
@@ -357,45 +357,32 @@ let json_configs =
     ("SkipFlow-ref", C.Config.skipflow, C.Engine.Reference);
   ]
 
-let json_bench ?(jobs_list = [ 1 ]) (b : W.Suites.bench) : jrow list =
+let json_bench (b : W.Suites.bench) : jrow list =
   let params = W.Suites.params_of ~scale b in
   let prog, main = W.Gen.compile params in
   let n = Program.num_meths prog in
   (* json rows feed regression gates, so keep at least 5 repetitions even on
      the big programs: single measurements at scale 0.1 swing by 2x. *)
   let reps = if n < 2000 then 9 else if n < 60_000 then 5 else 3 in
-  (* the parallel solver only shards the dedup engine, so the jobs axis
-     multiplies the dedup configs only; reference rows stay sequential *)
-  let measured =
-    List.concat_map
-      (fun (cname, config, mode) ->
-        if mode = C.Engine.Dedup then
-          List.map
-            (fun j -> (cname, { config with C.Config.jobs = j }, mode))
-            jobs_list
-        else [ (cname, config, mode) ])
-      json_configs
-  in
   List.map
     (fun (cname, config, mode) ->
-      let sum, t = measure ~mode ~reps config prog main in
-      let s = C.Engine.stats sum.Api.engine in
-      {
-        j_suite = b.W.Suites.suite;
-        j_bench = b.W.Suites.name;
-        j_config = cname;
-        j_pval = C.Pval.mode_name config.C.Config.pval;
-        j_jobs = config.C.Config.jobs;
-        j_time_ms = t *. 1000.;
-        j_build_ms = build_ms sum.Api.trace;
-        j_solve_ms = phase_ms sum.Api.trace "solve";
-        j_metrics_ms = phase_ms sum.Api.trace "metrics";
-        j_tasks = s.C.Engine.tasks_processed;
-        j_dedup_hits = C.Engine.dedup_hits s;
-        j_reachable = C.Engine.reachable_count sum.Api.engine;
-        j_live_flows = s.C.Engine.live_flows;
-      })
-    measured
+      measure ~mode ~reps config prog main ~keep:(fun t sum ->
+          let s = C.Engine.stats sum.Api.engine in
+          {
+            j_suite = b.W.Suites.suite;
+            j_bench = b.W.Suites.name;
+            j_config = cname;
+            j_pval = C.Pval.mode_name config.C.Config.pval;
+            j_time_ms = t *. 1000.;
+            j_build_ms = build_ms sum.Api.trace;
+            j_solve_ms = phase_ms sum.Api.trace "solve";
+            j_metrics_ms = phase_ms sum.Api.trace "metrics";
+            j_tasks = s.C.Engine.tasks_processed;
+            j_dedup_hits = C.Engine.dedup_hits s;
+            j_reachable = C.Engine.reachable_count sum.Api.engine;
+            j_live_flows = s.C.Engine.live_flows;
+          }))
+    json_configs
 
 let next_bench_file () =
   let rec go n =
@@ -407,13 +394,9 @@ let next_bench_file () =
 (* The dedup win on a config: reference tasks / dedup tasks, summed over
    the benches in the file (the CI smoke floor guards this number). *)
 let dedup_ratio rows config =
-  (* only sequential rows: with a --jobs list the same config appears once
-     per job count, and shard scheduling perturbs its task total *)
   let sum c =
     List.fold_left
-      (fun acc r ->
-        if String.equal r.j_config c && r.j_jobs = 1 then acc + r.j_tasks
-        else acc)
+      (fun acc r -> if String.equal r.j_config c then acc + r.j_tasks else acc)
       0 rows
   in
   let ded = sum config and refr = sum (config ^ "-ref") in
@@ -423,9 +406,7 @@ let speedup rows config =
   let med c =
     match
       List.filter_map
-        (fun r ->
-          if String.equal r.j_config c && r.j_jobs = 1 then Some r.j_time_ms
-          else None)
+        (fun r -> if String.equal r.j_config c then Some r.j_time_ms else None)
         rows
     with
     | [] -> 0.
@@ -434,37 +415,12 @@ let speedup rows config =
   let ded = med config and refr = med (config ^ "-ref") in
   if ded = 0. then 0. else refr /. ded
 
-(* Wall-time speedup of the sharded solve at the file's highest job count
-   over the sequential dedup engine, per config (0 when the file has no
-   parallel rows). *)
-let par_speedup rows config =
-  let times j =
-    List.filter_map
-      (fun r ->
-        if String.equal r.j_config config && r.j_jobs = j then
-          Some r.j_time_ms
-        else None)
-      rows
-  in
-  let jmax =
-    List.fold_left
-      (fun acc r ->
-        if String.equal r.j_config config then max acc r.j_jobs else acc)
-      1 rows
-  in
-  if jmax = 1 then 0.
-  else
-    match (times 1, times jmax) with
-    | [], _ | _, [] -> 0.
-    | seq, par ->
-        let s = median seq and p = median par in
-        if p = 0. then 0. else s /. p
-
 let emit_json ~out rows =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
-  (* v3: rows gained the "jobs" field (solver worker domains) *)
-  Buffer.add_string b "  \"schema_version\": 3,\n";
+  (* v4: rows lost the "jobs" field and the summary its "parallel_*"
+     fields (the parallel solver was removed) *)
+  Buffer.add_string b "  \"schema_version\": 4,\n";
   Printf.bprintf b "  \"scale\": %g,\n" scale;
   Buffer.add_string b "  \"rows\": [\n";
   List.iteri
@@ -472,10 +428,10 @@ let emit_json ~out rows =
       if i > 0 then Buffer.add_string b ",\n";
       Printf.bprintf b
         "    {\"suite\": %S, \"bench\": %S, \"config\": %S, \"pval\": %S, \
-         \"jobs\": %d, \"time_ms\": %.3f, \
+         \"time_ms\": %.3f, \
          \"build_ms\": %.3f, \"solve_ms\": %.3f, \"metrics_ms\": %.3f, \
          \"tasks\": %d, \"dedup_hits\": %d, \"reachable\": %d, \"live_flows\": %d}"
-        r.j_suite r.j_bench r.j_config r.j_pval r.j_jobs r.j_time_ms r.j_build_ms
+        r.j_suite r.j_bench r.j_config r.j_pval r.j_time_ms r.j_build_ms
         r.j_solve_ms r.j_metrics_ms r.j_tasks r.j_dedup_hits r.j_reachable
         r.j_live_flows)
     rows;
@@ -485,14 +441,8 @@ let emit_json ~out rows =
   Printf.bprintf b "    \"dedup_task_ratio_skipflow\": %.3f,\n"
     (dedup_ratio rows "SkipFlow");
   Printf.bprintf b "    \"median_speedup_pta\": %.3f,\n" (speedup rows "PTA");
-  Printf.bprintf b "    \"median_speedup_skipflow\": %.3f,\n"
+  Printf.bprintf b "    \"median_speedup_skipflow\": %.3f\n"
     (speedup rows "SkipFlow");
-  Printf.bprintf b "    \"parallel_jobs_max\": %d,\n"
-    (List.fold_left (fun acc r -> max acc r.j_jobs) 1 rows);
-  Printf.bprintf b "    \"parallel_speedup_pta\": %.3f,\n"
-    (par_speedup rows "PTA");
-  Printf.bprintf b "    \"parallel_speedup_skipflow\": %.3f\n"
-    (par_speedup rows "SkipFlow");
   Buffer.add_string b "  }\n}\n";
   let oc = open_out out in
   Buffer.output_buffer oc b;
@@ -504,14 +454,10 @@ let run_json args =
      the SkipFlow task-dedup ratio regresses below the floor (the CI smoke
      job), [-o FILE] overrides the auto-numbered output *)
   let benches = ref [] and floor_ = ref None and out = ref None in
-  let check_product = ref false and jobs_list = ref [ 1 ] in
+  let check_product = ref false in
   let rec parse = function
     | "--benches" :: v :: rest ->
         benches := String.split_on_char ',' v;
-        parse rest
-    | "--jobs" :: v :: rest ->
-        jobs_list :=
-          List.map (fun j -> max 1 (int_of_string j)) (String.split_on_char ',' v);
         parse rest
     | "--min-dedup-ratio" :: v :: rest ->
         floor_ := Some (float_of_string v);
@@ -545,7 +491,7 @@ let run_json args =
     List.concat_map
       (fun (b : W.Suites.bench) ->
         Printf.printf "  %-22s ...%!" b.W.Suites.name;
-        let rows = json_bench ~jobs_list:!jobs_list b in
+        let rows = json_bench b in
         Printf.printf " ok\n%!";
         rows)
       selected
@@ -563,8 +509,7 @@ let run_json args =
     let find cfg bn =
       List.find_opt
         (fun r ->
-          String.equal r.j_config cfg && String.equal r.j_bench bn
-          && r.j_jobs = 1)
+          String.equal r.j_config cfg && String.equal r.j_bench bn)
         rows
     in
     let bench_names = List.sort_uniq compare (List.map (fun r -> r.j_bench) rows) in
@@ -601,80 +546,6 @@ let run_json args =
       exit 1
   | _ -> ()
 
-(* ----------------------------- speedup verb --------------------------- *)
-
-(* Parallel solver scaling: the same workload solved at increasing --jobs,
-   reported as wall-time speedup over jobs=1.  The verb doubles as a
-   correctness gate — reachable methods and live flows must be identical
-   at every job count (the fixed point does not depend on the partition),
-   so a scheduling bug fails the benchmark run, not just the test suite. *)
-let run_speedup args =
-  let benches = ref [ "fop"; "pmd"; "luindex" ] in
-  let jobs_list = ref [ 1; 2; 4; 8 ] in
-  let rec parse = function
-    | "--benches" :: v :: rest ->
-        benches := String.split_on_char ',' v;
-        parse rest
-    | "--jobs" :: v :: rest ->
-        jobs_list :=
-          List.map (fun j -> max 1 (int_of_string j)) (String.split_on_char ',' v);
-        parse rest
-    | [] -> ()
-    | other :: _ ->
-        Printf.eprintf "speedup: unknown argument %s\n" other;
-        exit 1
-  in
-  parse args;
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "\n===== Parallel solver scaling (scale %.3f, %d hardware core%s) =====\n"
-    scale cores (if cores = 1 then "" else "s");
-  if cores = 1 then
-    Printf.printf
-      "(single-core host: wall-time speedup cannot exceed 1.0x here; the \
-       table still\n gates result equality and records coordination \
-       overhead honestly)\n";
-  Printf.printf "\n%-22s %5s %10s %10s %9s %8s %11s\n" "benchmark" "jobs"
-    "time[ms]" "solve[ms]" "speedup" "reach" "live_flows";
-  List.iter
-    (fun name ->
-      let b =
-        match W.Suites.find name with
-        | Some b -> b
-        | None ->
-            Printf.eprintf "speedup: unknown benchmark %s\n" name;
-            exit 1
-      in
-      let prog, main = W.Gen.compile (W.Suites.params_of ~scale b) in
-      let n = Program.num_meths prog in
-      let reps = if n < 2000 then 9 else if n < 60_000 then 5 else 3 in
-      let base = ref None in
-      List.iter
-        (fun jobs ->
-          let config = { C.Config.skipflow with C.Config.jobs = jobs } in
-          let sum, t = measure ~reps config prog main in
-          let st = C.Engine.stats sum.Api.engine in
-          let reach = C.Engine.reachable_count sum.Api.engine in
-          let flows = st.C.Engine.live_flows in
-          (match !base with
-          | None -> base := Some (t, reach, flows)
-          | Some (_, r0, f0) ->
-              if reach <> r0 || flows <> f0 then begin
-                Printf.eprintf
-                  "speedup: %s at jobs=%d diverged (reach %d vs %d, flows \
-                   %d vs %d)\n"
-                  name jobs reach r0 flows f0;
-                exit 1
-              end);
-          let t0 = match !base with Some (t0, _, _) -> t0 | None -> t in
-          Printf.printf "%-22s %5d %10.1f %10.1f %8.2fx %8d %11d\n"
-            (if jobs = List.hd !jobs_list then b.W.Suites.name else "")
-            jobs (t *. 1000.)
-            (phase_ms sum.Api.trace "solve")
-            (t0 /. t) reach flows)
-        !jobs_list)
-    !benches
-
 (* -------------------------------- driver ------------------------------ *)
 
 let collect () =
@@ -705,9 +576,6 @@ let () =
   | "micro" -> print_micro ()
   | "json" ->
       run_json (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
-  | "speedup" ->
-      run_speedup
-        (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
   | "all" ->
       let rows = collect () in
       print_table1 rows;
@@ -717,6 +585,6 @@ let () =
       print_micro ()
   | other ->
       Printf.eprintf
-        "unknown command %s (table1|figure9|ablation|product|micro|json|speedup|all)\n"
+        "unknown command %s (table1|figure9|ablation|product|micro|json|all)\n"
         other;
       exit 1

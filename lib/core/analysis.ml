@@ -20,10 +20,10 @@ type result = {
           itself). *)
 }
 
-let finish ?random_order ?on_budget ?shard_seed ~config ~trace ~t0 engine =
+let finish ?random_order ?on_budget ~config ~trace ~t0 engine =
   let outcome =
     Trace.with_phase trace "solve" (fun () ->
-        Engine.run ?random_order ?on_budget ?shard_seed engine)
+        Engine.run ?random_order ?on_budget engine)
   in
   let metrics = Trace.with_phase trace "metrics" (fun () -> Metrics.compute engine) in
   let cpu_time_s = Sys.time () -. t0 in
@@ -32,14 +32,14 @@ let finish ?random_order ?on_budget ?shard_seed ~config ~trace ~t0 engine =
 (** [run ~config prog ~roots] analyzes [prog] starting from the given root
     methods.  Root-method parameters are seeded according to
     [config.seed_root_params] (Section 5's reflection/JNI policy). *)
-let run ?(config = Config.skipflow) ?random_order ?on_budget ?shard_seed
-    ?mode ?trace (prog : Program.t) ~(roots : Program.meth list) =
+let run ?(config = Config.skipflow) ?random_order ?on_budget ?mode ?trace
+    (prog : Program.t) ~(roots : Program.meth list) =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let t0 = Sys.time () in
   let engine = Engine.create ?mode ~trace prog config in
   Trace.with_phase trace "roots" (fun () ->
       List.iter (fun m -> Engine.add_root engine m) roots);
-  finish ?random_order ?on_budget ?shard_seed ~config ~trace ~t0 engine
+  finish ?random_order ?on_budget ~config ~trace ~t0 engine
 
 (** [resume bytes] continues a paused solve from a [Paused] payload (or
     {!Engine.snapshot_bytes} output) to the fixed point the uninterrupted
@@ -47,15 +47,15 @@ let run ?(config = Config.skipflow) ?random_order ?on_budget ?shard_seed
     replaces the snapshotted budget; with neither a new budget nor
     [on_budget:`Pause] the resumed run would degrade at the very cap that
     paused it. *)
-let resume ?random_order ?on_budget ?shard_seed ?budget ?trace bytes =
+let resume ?random_order ?on_budget ?budget ?trace bytes =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let t0 = Sys.time () in
   match Engine.of_snapshot_bytes ~trace ?budget bytes with
   | Error _ as e -> e
   | Ok engine ->
       Ok
-        (finish ?random_order ?on_budget ?shard_seed
-           ~config:(Engine.config_of engine) ~trace ~t0 engine)
+        (finish ?random_order ?on_budget ~config:(Engine.config_of engine)
+           ~trace ~t0 engine)
 
 (** [rerun engine] drives an already-constructed engine (back) to its
     fixed point and recomputes metrics — the incremental-analysis path: a
@@ -63,13 +63,13 @@ let resume ?random_order ?on_budget ?shard_seed ?budget ?trace bytes =
     from the new boundary flows only, and monotonicity guarantees the
     resulting fixed point is the one a from-scratch solve over the grown
     root set would reach. *)
-let rerun ?random_order ?on_budget ?shard_seed ?trace engine =
+let rerun ?random_order ?on_budget ?trace engine =
   let trace =
     match trace with Some tr -> tr | None -> Engine.trace_of engine
   in
   let t0 = Sys.time () in
-  finish ?random_order ?on_budget ?shard_seed
-    ~config:(Engine.config_of engine) ~trace ~t0 engine
+  finish ?random_order ?on_budget ~config:(Engine.config_of engine) ~trace
+    ~t0 engine
 
 (** Convenience: resolve root methods by ["Class.method"] qualified names. *)
 let roots_by_name (prog : Program.t) names =

@@ -22,7 +22,6 @@ val run :
   ?config:Config.t ->
   ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
-  ?shard_seed:int ->
   ?mode:Engine.mode ->
   ?trace:Trace.t ->
   Skipflow_ir.Program.t ->
@@ -39,15 +38,11 @@ val run :
     into it, and with events the engine streams solver activity.
     [on_budget] selects the budget-trip reaction (see {!Engine.run}):
     [`Degrade] (default) finishes at a sound coarser fixed point;
-    [`Pause] returns with [result.outcome = Paused snapshot] instead.
-    With [config.jobs > 1] the solve starts with the parallel pre-pass
-    (see {!Engine.run}); [shard_seed] varies only the partition's
-    tie-breaking, never the result. *)
+    [`Pause] returns with [result.outcome = Paused snapshot] instead. *)
 
 val rerun :
   ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
-  ?shard_seed:int ->
   ?trace:Trace.t ->
   Engine.t ->
   result
@@ -62,7 +57,6 @@ val rerun :
 val resume :
   ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
-  ?shard_seed:int ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
   string ->

@@ -116,9 +116,7 @@ let create ?trace ?(max_entries = 512) dir =
 
 (** Every result-affecting configuration field goes into the fingerprint —
     including the budget: a degraded (budget-tripped) result must never be
-    served to a run with a larger budget.  [jobs] is deliberately left
-    out: the parallel solver reaches the same fixed point for every job
-    count, so a result computed at one is valid at any other. *)
+    served to a run with a larger budget. *)
 let fingerprint (config : Config.t) =
   Format.asprintf
     "cache-v%d;predicates=%b;primitives=%b;pval=%s;saturation=%s;seed_root_params=%b;budget=%a"

@@ -117,94 +117,30 @@ let register_counters tr =
     c_build_us = Trace.counter tr "build.wall_us";
   }
 
-(* ------------------------- parallel runtime --------------------------- *)
-
-(** Cross-shard work, routed between worker domains by bounded MPSC
-    inboxes.  Every message is {e defer-mode} absorbable by the owner: it
-    turns into a dirty bit (plus, for inputs, the eager VS_in join the
-    deduplicated engine always performs) without emitting anything
-    further, which is what makes the send-retry/absorb backpressure loop
-    deadlock-free. *)
-type msg =
-  | MInput of Flow.t * Vstate.t  (** join [v] into the flow's VS_in *)
-  | MEnable of Flow.t
-  | MNotify of Flow.t
-
-type inbox = {
-  ib_mutex : Mutex.t;
-  ib_cond : Condition.t;  (** signaled on push; the owner idles here *)
-  ib_q : msg Queue.t;
-  mutable ib_hwm : int;  (** queue high-water mark (written under the mutex) *)
-}
-
-(** Shared state of one parallel drain ([Config.jobs] worker domains). *)
-type hub = {
-  h_shard : Shard.t;  (** method -> owning shard *)
-  h_inboxes : inbox array;
-  h_inflight : int Atomic.t;
-      (** credit counter: incremented before a message is pushed,
-          decremented after the owner absorbed it into its worklist —
-          quiescence requires it to be 0 *)
-  h_idle : bool Atomic.t array;  (** per-shard "parked on the inbox" flags *)
-  h_act : int Atomic.t;
-      (** idle->active transition counter; the monitor reads it around
-          its quiescence check to detect wake-ups racing the check *)
-  h_stop : bool Atomic.t;
-  h_struct : Mutex.t;
-      (** the structural lock: graph building, interprocedural linking,
-          field linking, instantiation, saturation edges, and every write
-          to a global (method-less) flow happen under it *)
-  h_trip : Budget.trip option Atomic.t;
-      (** set by the monitor when a budget cap trips (the reaction runs
-          sequentially after the workers join) *)
-  h_exn : exn option Atomic.t;  (** first worker failure, re-raised after join *)
-}
-
-(** Per-worker view of the engine: counters, worklist, emit hooks, and
-    scheduling depths.  The sequential engine is exactly one lane
-    ([lane0], hubless); a parallel drain spawns [jobs] fresh lanes and
-    merges them back into [lane0]'s registry afterwards. *)
-type lane = {
-  lid : int;  (** shard index; 0 for the sequential lane *)
-  lc : counters;
-  ltrace : Trace.t;  (** [lane0]: the engine's trace; workers: private quiet traces *)
-  lwl : Worklist.t;  (** this lane's ring of dirty flow ids *)
-  mutable lemit : Edges.emit;  (** scheduling hooks, routing cross-shard when parallel *)
-  mutable lsync_depth : int;
-      (** current depth of synchronous (drain-free) processing; beyond
-          {!sync_depth_limit} the work is scheduled instead, keeping the
-          OCaml stack bounded on deep predicate/call chains *)
-  mutable llock_depth : int;
-      (** structural-lock re-entrancy depth (lane-local: one lane is one
-          domain); 0 = not held by this lane *)
-  mutable lprobe : unit -> unit;
-      (** in-flight budget probe, installed by {!run} for the duration of
-          the drain and called inside the invoke/field re-resolution loops
-          so a single mega-flow cannot overshoot the budget by more than
-          one link's worth of work; a no-op outside a run (and in worker
-          lanes, where the monitor samples the caps instead) *)
-  mutable llinks_at_task : int;
-      (** [c_links] value at the current task's start, so the in-task
-          probe charges only the links made {e inside} this task toward
-          [max_tasks] — [c_links] itself is run-cumulative (and restored
-          across resumes), and charging it whole would trip the task cap
-          near [tasks + total_links] instead of [tasks] *)
-  mutable lhub : hub option;  (** [Some] only while a parallel drain runs *)
-  mutable lmsgs_sent : int;  (** cross-shard messages sent (single-writer) *)
-  mutable lmsgs_recv : int;  (** cross-shard messages absorbed *)
-  mutable lidle_us : int;  (** wall time parked on the inbox, microseconds *)
-}
-
 type t = {
   prog : Program.t;
   config : Config.t;
   masks : Masks.t;
   mode : mode;
   trace : Trace.t;  (** counter registry + optional timers / event buffer *)
-  lane0 : lane;
-      (** the sequential lane: its counters/worklist/emit are the
-          engine's own (registered in [trace]); parallel drains merge
-          their per-shard lanes back into it *)
+  c : counters;  (** the engine's counters, registered in [trace] *)
+  wl : Worklist.t;  (** the ring of dirty flow ids *)
+  mutable emit : Edges.emit;  (** scheduling hooks, tied by {!tie_emit} *)
+  mutable sync_depth : int;
+      (** current depth of synchronous (drain-free) processing; beyond
+          {!sync_depth_limit} the work is scheduled instead, keeping the
+          OCaml stack bounded on deep predicate/call chains *)
+  mutable probe : unit -> unit;
+      (** in-flight budget probe, installed by {!run} for the duration of
+          the drain and called inside the invoke/field re-resolution loops
+          so a single mega-flow cannot overshoot the budget by more than
+          one link's worth of work; a no-op outside a run *)
+  mutable links_at_task : int;
+      (** [c_links] value at the current task's start, so the in-task
+          probe charges only the links made {e inside} this task toward
+          [max_tasks] — [c_links] itself is run-cumulative (and restored
+          across resumes), and charging it whole would trip the task cap
+          near [tasks + total_links] instead of [tasks] *)
   rqueue : rtask Queue.t;  (** reference-mode boxed FIFO *)
   graphs : Graph.method_graph Ids.Meth.Tbl.t;
   mutable reachable_order : Program.meth list;  (** reverse discovery order *)
@@ -239,73 +175,21 @@ let always_on kind state =
   f.Flow.state <- state;
   f
 
-let make_lane ?base ~lid ltrace =
-  {
-    lid;
-    lc = register_counters ltrace;
-    ltrace;
-    lwl = Worklist.create ?base ();
-    lemit = Edges.null_emit;
-    lsync_depth = 0;
-    llock_depth = 0;
-    lprobe = (fun () -> ());
-    llinks_at_task = 0;
-    lhub = None;
-    lmsgs_sent = 0;
-    lmsgs_recv = 0;
-    lidle_us = 0;
-  }
-
 (* ---------------------------- scheduling ------------------------------ *)
 
-let track_queue ln len = Trace.record_max ln.lc.c_max_queue len
+let track_queue t len = Trace.record_max t.c.c_max_queue len
 
 (** Set a dirty bit and enqueue the flow unless it is already pending.
     Returns [false] when the work merged into an existing entry. *)
-let schedule ln (f : Flow.t) bit =
+let schedule t (f : Flow.t) bit =
   let w = f.Flow.work in
   f.Flow.work <- w lor bit lor Flow.wk_pending;
   if w land Flow.wk_pending = 0 then begin
-    Worklist.push ln.lwl f;
-    track_queue ln (Worklist.length ln.lwl);
+    Worklist.push t.wl f;
+    track_queue t (Worklist.length t.wl);
     true
   end
   else false
-
-(* ----------------------- ownership and locking ------------------------ *)
-
-(** Global flows — field states, all-instantiated flows, [pred^on] — have
-    no owning method; during a parallel drain they belong to shard 0 and
-    every write to them goes through the structural lock. *)
-let is_global (f : Flow.t) = f.Flow.meth = None
-
-let owner_shard h (f : Flow.t) =
-  match f.Flow.meth with
-  | Some m -> h.h_shard.Shard.owner.(Ids.Meth.to_int m)
-  | None -> 0
-
-(** Run [fn] holding the hub's structural lock, re-entrantly (the depth
-    counter is lane-local, and a lane is a single domain).  Lock ordering:
-    the structural lock is only ever taken with {e no} inbox mutex held;
-    sends made while holding it bypass the inbox bound so the holder can
-    never block on a slower shard. *)
-let with_struct_lock ln h fn =
-  if ln.llock_depth > 0 then fn ()
-  else begin
-    Mutex.lock h.h_struct;
-    ln.llock_depth <- 1;
-    Fun.protect
-      ~finally:(fun () ->
-        ln.llock_depth <- 0;
-        Mutex.unlock h.h_struct)
-      fn
-  end
-
-(** Soft bound on each inbox.  Senders over the bound drain their own
-    inbox and retry — backpressure without deadlock — except when they
-    hold the structural lock or the drain is stopping (then the push goes
-    through unconditionally; see {!send}). *)
-let inbox_cap = 8192
 
 (* ------------------------- global flows ------------------------------ *)
 
@@ -383,189 +267,77 @@ let gen_value t (f : Flow.t) =
    runs stay bit-identical to the pre-product engine. *)
 let pval_of t = t.config.Config.pval
 
-(* ------------------------ cross-shard messages ------------------------ *)
-
-(* Defer-mode absorption: a message becomes a dirty bit on the owner's
-   worklist (plus the eager VS_in join for inputs) and emits NOTHING — no
-   sends, no recursion into the propagation block.  That restriction is
-   what lets {!send}'s backpressure loop absorb the sender's own inbox
-   while it waits, without deadlock.  The work itself (recompute / enable
-   / notify) runs later, from {!process_flow}, with the full machinery. *)
-let absorb t ln msg =
-  ln.lmsgs_recv <- ln.lmsgs_recv + 1;
-  match msg with
-  | MEnable f ->
-      if f.Flow.enabled || f.Flow.work land Flow.wk_enable <> 0 then
-        Trace.incr ln.lc.c_dedup_enable
-      else ignore (schedule ln f Flow.wk_enable)
-  | MNotify f ->
-      if f.Flow.work land Flow.wk_notify <> 0 then
-        Trace.incr ln.lc.c_dedup_notify
-      else ignore (schedule ln f Flow.wk_notify)
-  | MInput (f, v) ->
-      let join () =
-        if Vstate.leq v f.Flow.raw then Trace.incr ln.lc.c_dedup_input
-        else begin
-          f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
-          ignore (schedule ln f Flow.wk_recompute)
-        end
-      in
-      if is_global f then
-        (* shard 0's global flows also take direct locked writes from
-           [mark_instantiated]; the join must not race them *)
-        match ln.lhub with
-        | Some h -> with_struct_lock ln h join
-        | None -> join ()
-      else join ()
-
-(** Absorb every message currently in this lane's inbox (defer mode).
-    The in-flight credit is released only {e after} a message landed in
-    the worklist, so quiescence detection can never miss it. *)
-let absorb_own t ln =
-  match ln.lhub with
-  | None -> ()
-  | Some h ->
-      let ib = h.h_inboxes.(ln.lid) in
-      if Queue.length ib.ib_q > 0 (* racy hint; the mutex decides *) then begin
-        let batch = Queue.create () in
-        Mutex.lock ib.ib_mutex;
-        Queue.transfer ib.ib_q batch;
-        Mutex.unlock ib.ib_mutex;
-        Queue.iter
-          (fun m ->
-            absorb t ln m;
-            Atomic.decr h.h_inflight)
-          batch
-      end
-
-(** Send a message to [dest]'s inbox.  The credit counter is incremented
-    before the push (send precedes receive, so in-flight work is always
-    visible to the termination detector).  A full inbox blocks the sender
-    in an absorb-own/retry loop — unless the sender holds the structural
-    lock (it must never wait on another shard) or the drain is stopping
-    (the merge collects leftovers). *)
-let send t h ln dest msg =
-  Atomic.incr h.h_inflight;
-  ln.lmsgs_sent <- ln.lmsgs_sent + 1;
-  let ib = h.h_inboxes.(dest) in
-  let rec push () =
-    Mutex.lock ib.ib_mutex;
-    let len = Queue.length ib.ib_q in
-    if
-      len < inbox_cap || ln.llock_depth > 0 || dest = ln.lid
-      || Atomic.get h.h_stop
-    then begin
-      Queue.add msg ib.ib_q;
-      if len + 1 > ib.ib_hwm then ib.ib_hwm <- len + 1;
-      Condition.signal ib.ib_cond;
-      Mutex.unlock ib.ib_mutex
-    end
-    else begin
-      Mutex.unlock ib.ib_mutex;
-      absorb_own t ln;
-      Domain.cpu_relax ();
-      push ()
-    end
-  in
-  push ()
-
-let rec emit_input t ln (f : Flow.t) v =
+let rec emit_input t (f : Flow.t) v =
   match t.mode with
   | Reference ->
       Queue.add (RInput (f, v)) t.rqueue;
-      track_queue ln (Queue.length t.rqueue)
-  | Dedup -> (
-      match ln.lhub with
-      | Some h when owner_shard h f <> ln.lid ->
-          send t h ln (owner_shard h f) (MInput (f, v))
-      | Some h when is_global f ->
-          (* our own (shard 0) global flow: locked defer-mode join, so the
-             write cannot race [mark_instantiated] on another shard *)
-          with_struct_lock ln h (fun () -> local_input t ln f v)
-      | _ -> local_input t ln f v)
+      track_queue t (Queue.length t.rqueue)
+  | Dedup ->
+      (* the join happens here, eagerly: a value already below VS_in
+         needs no task at all, and concurrent growth merges into one
+         drain.  The [leq] test first keeps the common already-subsumed
+         case allocation-free (no union is built); when it fails the join
+         is a strict growth, so no equality re-check is needed either. *)
+      if Vstate.leq v f.Flow.raw then Trace.incr t.c.c_dedup_input
+      else begin
+        f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
+        if not f.Flow.enabled then begin
+          Trace.incr t.c.c_input;
+          recompute t f
+        end
+        else if not (schedule t f Flow.wk_recompute) then
+          Trace.incr t.c.c_dedup_input
+      end
 
-(* the join happens here, eagerly: a value already below VS_in needs
-   no task at all, and concurrent growth merges into one drain.  The
-   [leq] test first keeps the common already-subsumed case
-   allocation-free (no union is built); when it fails the join is a
-   strict growth, so no equality re-check is needed either. *)
-and local_input t ln (f : Flow.t) v =
-  if Vstate.leq v f.Flow.raw then Trace.incr ln.lc.c_dedup_input
-  else begin
-    f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
-    if not f.Flow.enabled then begin
-      Trace.incr ln.lc.c_input;
-      recompute t ln f
-    end
-    else if not (schedule ln f Flow.wk_recompute) then
-      Trace.incr ln.lc.c_dedup_input
-  end
-
-and emit_enable t ln (f : Flow.t) =
+and emit_enable t (f : Flow.t) =
   match t.mode with
   | Reference ->
       Queue.add (REnable f) t.rqueue;
-      track_queue ln (Queue.length t.rqueue)
-  | Dedup -> (
-      match ln.lhub with
-      | Some h when owner_shard h f <> ln.lid ->
-          if f.Flow.enabled (* racy fast path: enabled never reverts *) then
-            Trace.incr ln.lc.c_dedup_enable
-          else send t h ln (owner_shard h f) (MEnable f)
-      | _ ->
-          if f.Flow.enabled || f.Flow.work land Flow.wk_enable <> 0 then
-            Trace.incr ln.lc.c_dedup_enable
-          else if ln.lsync_depth < sync_depth_limit then begin
-            Trace.incr ln.lc.c_enable;
-            ln.lsync_depth <- ln.lsync_depth + 1;
-            enable t ln f;
-            ln.lsync_depth <- ln.lsync_depth - 1
-          end
-          else if not (schedule ln f Flow.wk_enable) then
-            Trace.incr ln.lc.c_dedup_enable)
+      track_queue t (Queue.length t.rqueue)
+  | Dedup ->
+      if f.Flow.enabled || f.Flow.work land Flow.wk_enable <> 0 then
+        Trace.incr t.c.c_dedup_enable
+      else if t.sync_depth < sync_depth_limit then begin
+        Trace.incr t.c.c_enable;
+        t.sync_depth <- t.sync_depth + 1;
+        enable t f;
+        t.sync_depth <- t.sync_depth - 1
+      end
+      else if not (schedule t f Flow.wk_enable) then
+        Trace.incr t.c.c_dedup_enable
 
-and emit_notify t ln (f : Flow.t) =
+and emit_notify t (f : Flow.t) =
   match t.mode with
   | Reference ->
       Queue.add (RNotify f) t.rqueue;
-      track_queue ln (Queue.length t.rqueue)
-  | Dedup -> (
-      match ln.lhub with
-      | Some h when owner_shard h f <> ln.lid ->
-          send t h ln (owner_shard h f) (MNotify f)
-      | _ ->
-          if f.Flow.work land Flow.wk_notify <> 0 then
-            Trace.incr ln.lc.c_dedup_notify
-          else if not (schedule ln f Flow.wk_notify) then
-            Trace.incr ln.lc.c_dedup_notify)
+      track_queue t (Queue.length t.rqueue)
+  | Dedup ->
+      if f.Flow.work land Flow.wk_notify <> 0 then
+        Trace.incr t.c.c_dedup_notify
+      else if not (schedule t f Flow.wk_notify) then
+        Trace.incr t.c.c_dedup_notify
 
-and saturate_check t ln (f : Flow.t) (s : Vstate.t) =
+and saturate_check t (f : Flow.t) (s : Vstate.t) =
   match (t.config.Config.saturation, s) with
   | Some cutoff, Vstate.Types ts
     when (not f.Flow.saturated) && Typeset.cardinal ts > cutoff -> (
       f.Flow.saturated <- true;
-      if Trace.events_on ln.ltrace then
-        Trace.event ln.ltrace ~kind:"saturate" ~flow:f.Flow.id
+      if Trace.events_on t.trace then
+        Trace.event t.trace ~kind:"saturate" ~flow:f.Flow.id
           ~meth:(flow_meth_id f) ~arg:(Typeset.cardinal ts) ();
-      (* appends to the global all-instantiated flow's use list — a
-         structural mutation *)
-      match ln.lhub with
-      | None -> Edges.use_edge ~emit:ln.lemit t.all_inst_any f
-      | Some h ->
-          with_struct_lock ln h (fun () ->
-              Edges.use_edge ~emit:ln.lemit t.all_inst_any f))
+      Edges.use_edge ~emit:t.emit t.all_inst_any f)
   | _ -> ()
 
-and on_state_change t ln (f : Flow.t) =
+and on_state_change t (f : Flow.t) =
   if f.Flow.enabled then begin
     if not (Vstate.is_empty f.Flow.state) then begin
-      List.iter (fun u -> emit_input t ln u f.Flow.state) f.Flow.uses;
-      List.iter (fun p -> emit_enable t ln p) f.Flow.pred_out
+      List.iter (fun u -> emit_input t u f.Flow.state) f.Flow.uses;
+      List.iter (fun p -> emit_enable t p) f.Flow.pred_out
     end
   end;
-  List.iter (fun o -> emit_notify t ln o) f.Flow.observers
+  List.iter (fun o -> emit_notify t o) f.Flow.observers
 
-and recompute t ln (f : Flow.t) =
+and recompute t (f : Flow.t) =
   match t.mode with
   | Reference ->
       (* The original implementation, retained verbatim so the reference
@@ -577,10 +349,10 @@ and recompute t ln (f : Flow.t) =
       in
       if not (Vstate.equal s' f.Flow.state) then begin
         f.Flow.state <- s';
-        if Trace.events_on ln.ltrace then
-          Trace.event ln.ltrace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
-        saturate_check t ln f s';
-        on_state_change t ln f
+        if Trace.events_on t.trace then
+          Trace.event t.trace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
+        saturate_check t f s';
+        on_state_change t f
       end
   | Dedup ->
       let s = Flow.apply_filter ~pval:(pval_of t) f f.Flow.raw in
@@ -590,27 +362,27 @@ and recompute t ln (f : Flow.t) =
       if not (Vstate.leq s f.Flow.state) then begin
         let s = Vstate.join ~pval:(pval_of t) f.Flow.state s in
         f.Flow.state <- s;
-        if Trace.events_on ln.ltrace then
-          Trace.event ln.ltrace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
-        saturate_check t ln f s;
-        on_state_change t ln f
+        if Trace.events_on t.trace then
+          Trace.event t.trace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
+        saturate_check t f s;
+        on_state_change t f
       end
 
 (** Synchronous join-and-recompute, used by reference-mode input tasks and
     by {!mark_instantiated} (which updates global flows directly). *)
-and input t ln (f : Flow.t) v =
+and input t (f : Flow.t) v =
   match t.mode with
   | Reference ->
       (* original join-then-compare form (see {!recompute}) *)
       let raw' = Vstate.join_unshared ~pval:(pval_of t) f.Flow.raw v in
       if not (Vstate.equal raw' f.Flow.raw) then begin
         f.Flow.raw <- raw';
-        recompute t ln f
+        recompute t f
       end
   | Dedup ->
       if not (Vstate.leq v f.Flow.raw) then begin
         f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
-        recompute t ln f
+        recompute t f
       end
 
 (** Degradation mode (budget exhaustion): precision is abandoned, never
@@ -621,68 +393,63 @@ and input t ln (f : Flow.t) v =
     The result, once the worklist re-drains, is a sound but much coarser
     fixed point: the degraded reachable-method set is a superset of the
     precise one (a property the fuzz harness asserts). *)
-and degrade_flow t ln (f : Flow.t) =
-  emit_enable t ln f;
+and degrade_flow t (f : Flow.t) =
+  emit_enable t f;
   (if not f.Flow.saturated then
      match f.Flow.raw with
      | Vstate.Types _ ->
          f.Flow.saturated <- true;
-         Edges.use_edge ~emit:ln.lemit t.all_inst_any f
-     | Vstate.Empty | Vstate.Prim _ | Vstate.Any -> emit_input t ln f Vstate.any);
+         Edges.use_edge ~emit:t.emit t.all_inst_any f
+     | Vstate.Empty | Vstate.Prim _ | Vstate.Any -> emit_input t f Vstate.any);
   (* re-run the flow-specific action against the widened operand states *)
   match f.Flow.kind with
-  | Flow.Invoke _ | Flow.Field_load _ | Flow.Field_store _ -> emit_notify t ln f
+  | Flow.Invoke _ | Flow.Field_load _ | Flow.Field_store _ -> emit_notify t f
   | _ -> ()
 
 (* ----------------------- reachability & linking ----------------------- *)
 
-and ensure_reachable t ln (m : Program.meth) =
-  match ln.lhub with
-  | None -> ensure_reachable_locked t ln m
-  | Some h -> with_struct_lock ln h (fun () -> ensure_reachable_locked t ln m)
-
-and ensure_reachable_locked t ln (m : Program.meth) =
+and ensure_reachable t (m : Program.meth) =
   match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
   | Some g -> g
   | None ->
       let g =
-        Trace.timed ln.ltrace ln.lc.c_build_us (fun () ->
+        Trace.timed t.trace t.c.c_build_us (fun () ->
             Build.run
               {
                 Build.prog = t.prog;
                 config = t.config;
                 masks = t.masks;
                 pred_on = t.pred_on;
-                emit = ln.lemit;
+                emit = t.emit;
                 field_flow = field_flow t;
-                trace = ln.ltrace;
+                trace = t.trace;
               }
               m)
       in
       Ids.Meth.Tbl.replace t.graphs m.Program.m_id g;
       t.reachable_order <- m :: t.reachable_order;
-      Trace.add ln.lc.c_live_flows (Graph.flow_count g);
-      if Trace.events_on ln.ltrace then
-        Trace.event ln.ltrace ~kind:"reachable" ~meth:(Ids.Meth.to_int m.Program.m_id)
+      Trace.add t.c.c_live_flows (Graph.flow_count g);
+      if Trace.events_on t.trace then
+        Trace.event t.trace ~kind:"reachable" ~meth:(Ids.Meth.to_int m.Program.m_id)
           ~arg:(Graph.flow_count g) ();
       (* Degradation mode: methods discovered after the budget tripped are
          coarsened on arrival, like everything built before the trip. *)
-      if t.degraded then List.iter (degrade_flow t ln) g.Graph.g_flows
+      if t.degraded then List.iter (degrade_flow t) g.Graph.g_flows
       else if not t.config.Config.predicates then
         (* Baseline configuration: no predicate edges — every flow of a
            reachable method propagates unconditionally. *)
-        List.iter (fun f -> emit_enable t ln f) g.Graph.g_flows;
+        List.iter (fun f -> emit_enable t f) g.Graph.g_flows;
       g
 
-and link_callee t ln (inv_flow : Flow.t) (inv : Flow.invoke_site) (callee : Program.meth) =
+and link_callee t (inv_flow : Flow.t) (inv : Flow.invoke_site) (callee : Program.meth) =
   if not (Ids.Meth.Set.mem callee.Program.m_id inv.Flow.inv_linked) then begin
     inv.Flow.inv_linked <- Ids.Meth.Set.add callee.Program.m_id inv.Flow.inv_linked;
-    Trace.incr ln.lc.c_links;
-    if Trace.events_on ln.ltrace then
-      Trace.event ln.ltrace ~kind:"link" ~flow:inv_flow.Flow.id
+    Trace.incr t.c.c_links;
+    if Trace.events_on t.trace then
+      Trace.event t.trace ~kind:"link" ~flow:inv_flow.Flow.id
         ~meth:(flow_meth_id inv_flow)
         ~arg:(Ids.Meth.to_int callee.Program.m_id) ();
-    let cg = ensure_reachable t ln callee in
+    let cg = ensure_reachable t callee in
     let actuals =
       match inv.Flow.inv_recv with
       | Some r when not callee.Program.m_static -> r :: inv.Flow.inv_args
@@ -696,22 +463,17 @@ and link_callee t ln (inv_flow : Flow.t) (inv : Flow.invoke_site) (callee : Prog
             (List.length cg.Graph.g_params)));
     List.iter2
       (fun a p ->
-        Trace.incr ln.lc.c_use_edges;
-        Edges.use_edge ~emit:ln.lemit a p)
+        Trace.incr t.c.c_use_edges;
+        Edges.use_edge ~emit:t.emit a p)
       actuals cg.Graph.g_params;
     (* the invoke flow represents the returned value in the caller *)
-    Edges.use_edge ~emit:ln.lemit cg.Graph.g_return inv_flow
+    Edges.use_edge ~emit:t.emit cg.Graph.g_return inv_flow
   end
 
 (** The Invoke rule: resolve and link every possible callee.  Virtual
     invokes resolve per receiver type; [null] receivers resolve to nothing
     (a would-be NullPointerException, which the analysis does not model). *)
-and try_link t ln (f : Flow.t) =
-  match ln.lhub with
-  | None -> try_link_locked t ln f
-  | Some h -> with_struct_lock ln h (fun () -> try_link_locked t ln f)
-
-and try_link_locked t ln (f : Flow.t) =
+and try_link t (f : Flow.t) =
   match f.Flow.kind with
   | Flow.Invoke inv when f.Flow.enabled ->
       if inv.Flow.inv_virtual then begin
@@ -741,34 +503,29 @@ and try_link_locked t ln (f : Flow.t) =
               inv.Flow.inv_seen <- Typeset.union inv.Flow.inv_seen tyset;
               d
         in
-        if Trace.events_on ln.ltrace && not (Typeset.is_empty fresh) then
-          Trace.event ln.ltrace ~kind:"resolve" ~flow:f.Flow.id
+        if Trace.events_on t.trace && not (Typeset.is_empty fresh) then
+          Trace.event t.trace ~kind:"resolve" ~flow:f.Flow.id
             ~meth:(flow_meth_id f) ~arg:(Typeset.cardinal fresh) ();
         Typeset.iter_classes
           (fun c ->
             if not (Program.is_null_class c) then
               match Program.resolve t.prog ~recv_cls:c ~target:inv.Flow.inv_target with
               | Some callee ->
-                  link_callee t ln f inv callee;
+                  link_callee t f inv callee;
                   (* a single invoke task can resolve arbitrarily many
                      callees; let the budget see each one *)
-                  ln.lprobe ()
+                  t.probe ()
               | None -> ())
           fresh
       end
       else
-        link_callee t ln f inv (Program.meth t.prog inv.Flow.inv_target)
+        link_callee t f inv (Program.meth t.prog inv.Flow.inv_target)
   | _ -> ()
 
 (** The Load / Store rules: connect the instruction flow with the global
     per-declared-field flows ([LookUp]) of every type in the receiver's
     value state. *)
-and try_field t ln (f : Flow.t) =
-  match ln.lhub with
-  | None -> try_field_locked t ln f
-  | Some h -> with_struct_lock ln h (fun () -> try_field_locked t ln f)
-
-and try_field_locked t ln (f : Flow.t) =
+and try_field t (f : Flow.t) =
   if f.Flow.enabled then
     match f.Flow.kind with
     | Flow.Field_load fa | Flow.Field_store fa ->
@@ -800,65 +557,59 @@ and try_field_locked t ln (f : Flow.t) =
                       Ids.Field.Set.add fld.Program.f_id fa.Flow.fa_linked;
                     let ff = field_flow t fld.Program.f_id in
                     (match f.Flow.kind with
-                    | Flow.Field_load _ -> Edges.use_edge ~emit:ln.lemit ff f
-                    | _ -> Edges.use_edge ~emit:ln.lemit f ff);
-                    ln.lprobe ()
+                    | Flow.Field_load _ -> Edges.use_edge ~emit:t.emit ff f
+                    | _ -> Edges.use_edge ~emit:t.emit f ff);
+                    t.probe ()
                   end
               | None -> ())
           tyset
     | _ -> ()
 
-and mark_instantiated t ln (c : Ids.Class.t) =
-  match ln.lhub with
-  | None -> mark_instantiated_locked t ln c
-  | Some h -> with_struct_lock ln h (fun () -> mark_instantiated_locked t ln c)
-
-and mark_instantiated_locked t ln (c : Ids.Class.t) =
+and mark_instantiated t (c : Ids.Class.t) =
   if not (Typeset.class_mem c t.instantiated) then begin
     t.instantiated <- Typeset.class_add c t.instantiated;
     let v = Vstate.of_class c in
-    input t ln t.all_inst_any v;
+    input t t.all_inst_any v;
     (* only the all-inst flows whose subtype mask contains [c], via the
        reverse index — not the whole table *)
-    List.iter (fun f -> input t ln f v) t.all_inst_rev.(Ids.Class.to_int c)
+    List.iter (fun f -> input t f v) t.all_inst_rev.(Ids.Class.to_int c)
   end
 
-and enable t ln (f : Flow.t) =
+and enable t (f : Flow.t) =
   if not f.Flow.enabled then begin
     f.Flow.enabled <- true;
-    if Trace.events_on ln.ltrace then
-      Trace.event ln.ltrace ~kind:"enable" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
-    (match f.Flow.kind with Flow.Alloc c -> mark_instantiated t ln c | _ -> ());
+    if Trace.events_on t.trace then
+      Trace.event t.trace ~kind:"enable" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
+    (match f.Flow.kind with Flow.Alloc c -> mark_instantiated t c | _ -> ());
     let gv = gen_value t f in
     let pval = pval_of t in
     if not (Vstate.is_empty gv) then
       f.Flow.raw <- Vstate.join ~pval f.Flow.raw gv;
     let s = Vstate.join ~pval f.Flow.state (Flow.apply_filter ~pval f f.Flow.raw) in
     f.Flow.state <- s;
-    saturate_check t ln f s;
+    saturate_check t f s;
     (* Becoming enabled makes the (possibly previously accumulated) state
        visible to use/predicate successors for the first time, and counts
        as a state change for observers. *)
-    on_state_change t ln f;
+    on_state_change t f;
     (* enabling gates the flow-specific actions of Figure 15 *)
     match f.Flow.kind with
-    | Flow.Invoke _ -> try_link t ln f
-    | Flow.Field_load _ | Flow.Field_store _ -> try_field t ln f
+    | Flow.Invoke _ -> try_link t f
+    | Flow.Field_load _ | Flow.Field_store _ -> try_field t f
     | _ -> ()
   end
 
-and notify t ln (f : Flow.t) =
+and notify t (f : Flow.t) =
   match f.Flow.kind with
-  | Flow.Invoke _ -> try_link t ln f
-  | Flow.Field_load _ | Flow.Field_store _ -> try_field t ln f
+  | Flow.Invoke _ -> try_link t f
+  | Flow.Field_load _ | Flow.Field_store _ -> try_field t f
   | _ ->
       (* comparison filters re-apply their condition against the observed
          operand's new state *)
-      recompute t ln f
+      recompute t f
 
 let degrade t (trip : Budget.trip) =
-  let ln = t.lane0 in
-  Trace.incr ln.lc.c_budget_trips;
+  Trace.incr t.c.c_budget_trips;
   if Trace.events_on t.trace then
     Trace.event t.trace ~kind:"degrade"
       ~arg:(match trip with Budget.Tasks -> 0 | Budget.Seconds -> 1 | Budget.Flows -> 2)
@@ -866,8 +617,8 @@ let degrade t (trip : Budget.trip) =
   if not t.degraded then begin
     t.degraded <- true;
     t.first_trip <- Some trip;
-    Trace.record_max ln.lc.c_trip_tasks (Trace.value ln.lc.c_tasks);
-    Trace.record_max ln.lc.c_trip_flows (Trace.value ln.lc.c_live_flows);
+    Trace.record_max t.c.c_trip_tasks (Trace.value t.c.c_tasks);
+    Trace.record_max t.c.c_trip_flows (Trace.value t.c.c_live_flows);
     (* iterate a snapshot of the discovery list, not the table: degrading
        a flow can link new callees synchronously, growing [t.graphs]
        mid-walk (methods added during the walk are degraded on arrival by
@@ -875,25 +626,27 @@ let degrade t (trip : Budget.trip) =
     List.iter
       (fun (m : Program.meth) ->
         match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
-        | Some g -> List.iter (degrade_flow t ln) g.Graph.g_flows
+        | Some g -> List.iter (degrade_flow t) g.Graph.g_flows
         | None -> ())
       t.reachable_order
   end
 
-(** Tie a lane's emit record to the engine (the knot between the lane and
-    the mutually recursive propagation block). *)
-let tie_emit t ln =
-  ln.lemit <-
+(** Tie the engine's emit record to the mutually recursive propagation
+    block (the knot {!create} and {!restore} close). *)
+let tie_emit t =
+  t.emit <-
     {
-      Edges.input = emit_input t ln;
-      enable = emit_enable t ln;
-      notify = emit_notify t ln;
+      Edges.input = emit_input t;
+      enable = emit_enable t;
+      notify = emit_notify t;
     }
 
 let create ?(mode = Dedup) ?trace prog config =
   ignore (Program.freeze prog);
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let lane0 = make_lane ~lid:0 trace in
+  (* the worklist before the global flows below: its base is the first
+     flow id minted after it (see {!Worklist.create}) *)
+  let wl = Worklist.create () in
   let t =
     {
       prog;
@@ -901,7 +654,12 @@ let create ?(mode = Dedup) ?trace prog config =
       masks = Masks.compute prog;
       mode;
       trace;
-      lane0;
+      c = register_counters trace;
+      wl;
+      emit = Edges.null_emit;
+      sync_depth = 0;
+      probe = (fun () -> ());
+      links_at_task = 0;
       rqueue = Queue.create ();
       graphs = Ids.Meth.Tbl.create 256;
       reachable_order = [];
@@ -917,7 +675,7 @@ let create ?(mode = Dedup) ?trace prog config =
       pause_pending = false;
     }
   in
-  tie_emit t lane0;
+  tie_emit t;
   t
 
 (* --------------------------- checkpointing ---------------------------- *)
@@ -966,10 +724,10 @@ let capture t =
     fz_all_inst_any = t.all_inst_any;
     fz_instantiated = t.instantiated;
     fz_pred_on = t.pred_on;
-    fz_pending = Worklist.pending t.lane0.lwl;
+    fz_pending = Worklist.pending t.wl;
     fz_rpending = List.of_seq (Queue.to_seq t.rqueue);
     fz_counters = Trace.counters t.trace;
-    fz_wl_base = Worklist.base t.lane0.lwl;
+    fz_wl_base = Worklist.base t.wl;
     fz_next_flow_id = !Flow.next_id;
     fz_degraded = t.degraded;
     fz_first_trip = t.first_trip;
@@ -992,7 +750,6 @@ let restore ?trace ?budget fz =
     | Some b -> { fz.fz_config with Config.budget = b }
   in
   ignore (Program.freeze fz.fz_prog);
-  let lane0 = make_lane ~base:fz.fz_wl_base ~lid:0 trace in
   let t =
     {
       prog = fz.fz_prog;
@@ -1000,7 +757,12 @@ let restore ?trace ?budget fz =
       masks = Masks.compute fz.fz_prog;
       mode = fz.fz_mode;
       trace;
-      lane0;
+      c = register_counters trace;
+      wl = Worklist.create ~base:fz.fz_wl_base ();
+      emit = Edges.null_emit;
+      sync_depth = 0;
+      probe = (fun () -> ());
+      links_at_task = 0;
       rqueue = Queue.create ();
       graphs = fz.fz_graphs;
       reachable_order = fz.fz_reachable_order;
@@ -1016,21 +778,21 @@ let restore ?trace ?budget fz =
       pause_pending = false;
     }
   in
-  tie_emit t lane0;
+  tie_emit t;
   (* the resumed run's counters continue from the snapshotted values *)
   List.iter
     (fun (name, v) -> if v <> 0 then Trace.add (Trace.counter trace name) v)
     fz.fz_counters;
   (* pending flows still carry their dirty bits; re-ring them in order *)
-  Array.iter (fun f -> Worklist.push t.lane0.lwl f) fz.fz_pending;
+  Array.iter (fun f -> Worklist.push t.wl f) fz.fz_pending;
   List.iter (fun task -> Queue.add task t.rqueue) fz.fz_rpending;
   t
 
 let snapshot_kind = "engine-state"
 
-(* v3: [Config.t] gained the [jobs] field (the frozen image embeds the
+(* v4: [Config.t] lost the [jobs] field (the frozen image embeds the
    config, so its Marshal layout changed) *)
-let snapshot_version = 3
+let snapshot_version = 4
 
 let of_snapshot_bytes ?trace ?budget s =
   match (Marshal.from_string s 0 : frozen) with
@@ -1060,21 +822,20 @@ let clone ?trace ?budget t =
 (* ------------------------------ driver -------------------------------- *)
 
 let add_root ?seed_params t (m : Program.meth) =
-  let ln = t.lane0 in
   t.roots <- Ids.Meth.Set.add m.Program.m_id t.roots;
   let seed =
     match seed_params with Some s -> s | None -> t.config.Config.seed_root_params
   in
-  let g = ensure_reachable t ln m in
+  let g = ensure_reachable t m in
   if seed then begin
     let body = g.Graph.g_body in
     List.iter2
       (fun v pf ->
         match Bl.var_ty body v with
         | Ty.Obj c ->
-            Edges.use_edge ~emit:ln.lemit (all_inst_flow t c) pf;
-            emit_input t ln pf Vstate.null
-        | Ty.Int | Ty.Bool -> emit_input t ln pf Vstate.any
+            Edges.use_edge ~emit:t.emit (all_inst_flow t c) pf;
+            emit_input t pf Vstate.null
+        | Ty.Int | Ty.Bool -> emit_input t pf Vstate.any
         | Ty.Null | Ty.Void -> ())
       body.Bl.params g.Graph.g_params
   end
@@ -1083,292 +844,37 @@ let add_root ?seed_params t (m : Program.meth) =
     bits, then run every dirty kind.  Enable first (it folds the pending
     VS_in into the state and runs the flow action), then recompute (a
     no-op if enable just covered it), then notify. *)
-let process_flow_bits t ln (f : Flow.t) =
+let process_flow t (f : Flow.t) =
+  Trace.incr t.c.c_tasks;
+  t.links_at_task <- Trace.value t.c.c_links;
   let w = f.Flow.work in
   f.Flow.work <- 0;
   if w land Flow.wk_enable <> 0 then begin
-    Trace.incr ln.lc.c_enable;
-    enable t ln f
+    Trace.incr t.c.c_enable;
+    enable t f
   end;
   if w land Flow.wk_recompute <> 0 then begin
-    Trace.incr ln.lc.c_input;
-    recompute t ln f
+    Trace.incr t.c.c_input;
+    recompute t f
   end;
   if w land Flow.wk_notify <> 0 then begin
-    Trace.incr ln.lc.c_notify;
-    notify t ln f
+    Trace.incr t.c.c_notify;
+    notify t f
   end
 
-let process_flow t ln (f : Flow.t) =
-  Trace.incr ln.lc.c_tasks;
-  ln.llinks_at_task <- Trace.value ln.lc.c_links;
-  match ln.lhub with
-  | Some h when is_global f ->
-      (* shard 0 draining a global flow: its raw/state writes must not
-         race the locked writes other shards make through
-         [mark_instantiated] / message absorption *)
-      with_struct_lock ln h (fun () -> process_flow_bits t ln f)
-  | _ -> process_flow_bits t ln f
-
 let process_rtask t task =
-  let ln = t.lane0 in
-  Trace.incr ln.lc.c_tasks;
-  ln.llinks_at_task <- Trace.value ln.lc.c_links;
+  Trace.incr t.c.c_tasks;
+  t.links_at_task <- Trace.value t.c.c_links;
   match task with
   | REnable f ->
-      Trace.incr ln.lc.c_enable;
-      enable t ln f
+      Trace.incr t.c.c_enable;
+      enable t f
   | RInput (f, v) ->
-      Trace.incr ln.lc.c_input;
-      input t ln f v
+      Trace.incr t.c.c_input;
+      input t f v
   | RNotify f ->
-      Trace.incr ln.lc.c_notify;
-      notify t ln f
-
-(* ------------------------- parallel drain ----------------------------- *)
-
-(* The parallel phase is a {e pre-pass}: worker domains drain their shards
-   to (approximate) quiescence, then the ordinary sequential machinery
-   closes the fixed point.  Correctness does not rest on the workers
-   finishing everything:
-
-   - every write is either owner-only (a shard only mutates flows of its
-     own methods), or under the structural lock (graph building, linking,
-     instantiation, global flows) — so all joins apply legitimately
-     derived values and the state stays below the least fixed point;
-   - the one remaining loss channel is a {e stale read}: an owner pushing
-     a flow's state can miss a use/predicate edge another shard just
-     linked (edge-list reads are unlocked).  [Domain.join] synchronizes
-     memory, after which {!closure_sweep} re-pushes every edge's current
-     source state and re-notifies every observer — re-seeding exactly the
-     work any stale read could have dropped;
-   - the sequential drain then runs to a fixed point that contains all
-     seeds and sits below the lfp, hence {e is} the lfp — the same one,
-     flow by flow, the sequential engine computes.
-
-   Workers stop only at task boundaries, so compound actions (linking a
-   callee, enabling a flow) are never half-done. *)
-
-let worker_batch = 64
-
-let worker_loop t ln h =
-  let ib = h.h_inboxes.(ln.lid) in
-  try
-    while not (Atomic.get h.h_stop) do
-      absorb_own t ln;
-      if not (Worklist.is_empty ln.lwl) then begin
-        let n = ref 0 in
-        while !n < worker_batch && not (Worklist.is_empty ln.lwl) do
-          process_flow t ln (Worklist.pop_exn ln.lwl);
-          incr n
-        done
-      end
-      else begin
-        (* out of local work: park on the inbox until a sender signals or
-           the monitor stops the drain *)
-        Mutex.lock ib.ib_mutex;
-        if Queue.is_empty ib.ib_q && not (Atomic.get h.h_stop) then begin
-          Atomic.set h.h_idle.(ln.lid) true;
-          let t0 = Unix.gettimeofday () in
-          while Queue.is_empty ib.ib_q && not (Atomic.get h.h_stop) do
-            Condition.wait ib.ib_cond ib.ib_mutex
-          done;
-          ln.lidle_us <-
-            ln.lidle_us
-            + int_of_float (Float.max 0.0 (Unix.gettimeofday () -. t0) *. 1e6);
-          Atomic.set h.h_idle.(ln.lid) false;
-          Atomic.incr h.h_act
-        end;
-        Mutex.unlock ib.ib_mutex
-      end
-    done
-  with exn ->
-    (* first failure wins; the monitor notices [h_stop] and shuts the
-       drain down, and the main domain re-raises after the join *)
-    ignore (Atomic.compare_and_set h.h_exn None (Some exn));
-    Atomic.set h.h_stop true
-
-(** Termination detection: the drain is quiescent when every worker is
-    parked on its inbox and no message credit is outstanding.  The
-    transition counter [h_act] guards against a wake-up racing the check:
-    a worker that went idle, was woken and went idle again between our
-    two reads bumps it, invalidating this round. *)
-let monitor t h lanes ~budget ~elapsed_s =
-  let base_tasks = Trace.value t.lane0.lc.c_tasks in
-  let base_flows = Trace.value t.lane0.lc.c_live_flows in
-  let total sel base =
-    Array.fold_left (fun acc ln -> acc + Trace.value (sel ln.lc)) base lanes
-  in
-  while not (Atomic.get h.h_stop) do
-    (if not (Budget.is_unlimited budget) then
-       match
-         Budget.check budget
-           ~tasks:(total (fun c -> c.c_tasks) base_tasks)
-           ~flows:(total (fun c -> c.c_live_flows) base_flows)
-           ~elapsed_s
-       with
-       | Some trip ->
-           Atomic.set h.h_trip (Some trip);
-           Atomic.set h.h_stop true
-       | None -> ());
-    if not (Atomic.get h.h_stop) then begin
-      let a1 = Atomic.get h.h_act in
-      let quiet =
-        Atomic.get h.h_inflight = 0 && Array.for_all Atomic.get h.h_idle
-      in
-      if quiet && Atomic.get h.h_act = a1 then Atomic.set h.h_stop true
-      else Unix.sleepf 0.0002
-    end
-  done;
-  (* wake every parked worker so it can observe the stop flag *)
-  Array.iter
-    (fun ib ->
-      Mutex.lock ib.ib_mutex;
-      Condition.broadcast ib.ib_cond;
-      Mutex.unlock ib.ib_mutex)
-    h.h_inboxes
-
-(** Fold the per-shard lanes back into the sequential lane: leftover
-    messages and pending rings become [lane0] worklist entries (dirty
-    bits travel on the flows themselves), counters merge into the
-    engine's trace, and per-shard utilization is published under
-    ["par.shard<i>.*"] for the profiler. *)
-let merge_lanes t h lanes =
-  let ln0 = t.lane0 in
-  Array.iter
-    (fun ln ->
-      (* leftover cross-shard messages (only on a budget stop): absorb
-         them on the lane so the dirty bits are set, then move the ring *)
-      ln.lhub <- None;
-      Queue.iter (fun m -> absorb t ln m) h.h_inboxes.(ln.lid).ib_q;
-      Queue.clear h.h_inboxes.(ln.lid).ib_q;
-      Array.iter (fun f -> Worklist.push ln0.lwl f) (Worklist.pop_all ln.lwl))
-    lanes;
-  track_queue ln0 (Worklist.length ln0.lwl);
-  Array.iter
-    (fun ln ->
-      List.iter
-        (fun (name, v) ->
-          if v <> 0 then begin
-            let c = Trace.counter t.trace name in
-            (* high-water marks merge as maxima, everything else sums *)
-            let is_max =
-              (* cheap substring test for ".max"/"max_" counter names *)
-              let n = String.length name in
-              let rec find i =
-                i + 3 <= n
-                && (String.sub name i 3 = "max" || find (i + 1))
-              in
-              find 0
-            in
-            if is_max then Trace.record_max c v else Trace.add c v
-          end)
-        (Trace.counters ln.ltrace))
-    lanes;
-  (* per-shard utilization, for [skipflow profile] *)
-  let reg name v =
-    if v <> 0 then Trace.add (Trace.counter t.trace name) v
-  in
-  reg "par.shards" (Array.length lanes);
-  reg "par.regions" h.h_shard.Shard.regions;
-  Array.iteri
-    (fun i ln ->
-      let p = Printf.sprintf "par.shard%d." i in
-      reg (p ^ "tasks") (Trace.value ln.lc.c_tasks);
-      reg (p ^ "msgs_sent") ln.lmsgs_sent;
-      reg (p ^ "msgs_recv") ln.lmsgs_recv;
-      reg (p ^ "idle_us") ln.lidle_us;
-      Trace.record_max
-        (Trace.counter t.trace (p ^ "queue_hwm"))
-        h.h_inboxes.(i).ib_hwm;
-      reg (p ^ "weight")
-        (if i < Array.length h.h_shard.Shard.weights then
-           h.h_shard.Shard.weights.(i)
-         else 0))
-    lanes
-
-(** Re-seed every propagation obligation a stale edge-list read could
-    have dropped during the parallel phase: push each enabled flow's
-    state along its use and predicate edges and re-notify each observer.
-    One sequential pass over all edges; the subsequent drain closes the
-    fixed point.  (Newly linked methods keep growing [reachable_order]
-    mid-walk; they were built after the join, sequentially, so the
-    snapshot of the list taken here is enough.) *)
-let closure_sweep t =
-  let ln = t.lane0 in
-  let sweep (f : Flow.t) =
-    if f.Flow.enabled && not (Vstate.is_empty f.Flow.state) then begin
-      List.iter (fun u -> emit_input t ln u f.Flow.state) f.Flow.uses;
-      List.iter (fun p -> emit_enable t ln p) f.Flow.pred_out
-    end;
-    List.iter (fun o -> emit_notify t ln o) f.Flow.observers
-  in
-  sweep t.pred_on;
-  sweep t.all_inst_any;
-  Ids.Field.Tbl.iter (fun _ f -> sweep f) t.field_flows;
-  Ids.Class.Tbl.iter (fun _ f -> sweep f) t.all_inst;
-  List.iter
-    (fun (m : Program.meth) ->
-      match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
-      | Some g -> List.iter sweep g.Graph.g_flows
-      | None -> ())
-    t.reachable_order
-
-(** The parallel pre-pass: partition, spawn, monitor to quiescence (or a
-    budget stop), join, merge.  Returns the budget trip the monitor
-    observed, if any. *)
-let par_prepass t ~shard_seed ~budget ~elapsed_s =
-  let jobs = t.config.Config.jobs in
-  let shard = Shard.compute ~seed:shard_seed ~jobs t.prog in
-  let h =
-    {
-      h_shard = shard;
-      h_inboxes =
-        Array.init jobs (fun _ ->
-            {
-              ib_mutex = Mutex.create ();
-              ib_cond = Condition.create ();
-              ib_q = Queue.create ();
-              ib_hwm = 0;
-            });
-      h_inflight = Atomic.make 0;
-      h_idle = Array.init jobs (fun _ -> Atomic.make false);
-      h_act = Atomic.make 0;
-      h_stop = Atomic.make false;
-      h_struct = Mutex.create ();
-      h_trip = Atomic.make None;
-      h_exn = Atomic.make None;
-    }
-  in
-  (* lanes (and their worklists, which allocate a flow id for the dummy
-     slot) are created on the main domain, before any spawn.  Lane traces
-     carry their own counter registries (merged into [t.trace] after the
-     join) and inherit the session's timer switch so per-shard PVPG
-     construction still ticks [build.wall_us]; they never share the
-     parent's phase stack or event buffer, which are not domain-safe. *)
-  let lanes =
-    Array.init jobs (fun i ->
-        make_lane ~base:0 ~lid:i
-          (Trace.create ~timers:(Trace.timers_on t.trace) ()))
-  in
-  Array.iter
-    (fun ln ->
-      ln.lhub <- Some h;
-      tie_emit t ln)
-    lanes;
-  (* distribute the pending ring by ownership (dirty bits ride on the
-     flows, so a plain push preserves the pending work exactly) *)
-  Array.iter
-    (fun f -> Worklist.push lanes.(owner_shard h f).lwl f)
-    (Worklist.pop_all t.lane0.lwl);
-  let domains =
-    Array.map (fun ln -> Domain.spawn (fun () -> worker_loop t ln h)) lanes
-  in
-  monitor t h lanes ~budget ~elapsed_s;
-  Array.iter Domain.join domains;
-  merge_lanes t h lanes;
-  (match Atomic.get h.h_exn with Some exn -> raise exn | None -> ());
-  Atomic.get h.h_trip
+      Trace.incr t.c.c_notify;
+      notify t f
 
 (** [run ?random_order ?on_budget t] drains the worklist to the fixed
     point.
@@ -1396,8 +902,7 @@ let par_prepass t ~shard_seed ~budget ~elapsed_s =
     worth of work.  Once degraded (or once a pause is pending), checks
     stop and the remaining drain runs to its boundary so the final state
     is consistent. *)
-let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
-  let ln = t.lane0 in
+let run ?random_order ?(on_budget = `Degrade) t =
   let budget = t.config.Config.budget in
   let start = Unix.gettimeofday () in
   (* clamped against backwards clock steps: a negative elapsed time
@@ -1409,10 +914,10 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
     | `Pause ->
         if not t.pause_pending then begin
           t.pause_pending <- true;
-          Trace.incr ln.lc.c_budget_trips;
+          Trace.incr t.c.c_budget_trips;
           if t.first_trip = None then t.first_trip <- Some trip;
-          Trace.record_max ln.lc.c_trip_tasks (Trace.value ln.lc.c_tasks);
-          Trace.record_max ln.lc.c_trip_flows (Trace.value ln.lc.c_live_flows);
+          Trace.record_max t.c.c_trip_tasks (Trace.value t.c.c_tasks);
+          Trace.record_max t.c.c_trip_flows (Trace.value t.c.c_live_flows);
           if Trace.events_on t.trace then
             Trace.event t.trace ~kind:"pause"
               ~arg:
@@ -1427,48 +932,33 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
   let step_budget () =
     if live () && not (Budget.is_unlimited budget) then
       match
-        Budget.check budget ~tasks:(Trace.value ln.lc.c_tasks)
-          ~flows:(Trace.value ln.lc.c_live_flows) ~elapsed_s
+        Budget.check budget ~tasks:(Trace.value t.c.c_tasks)
+          ~flows:(Trace.value t.c.c_live_flows) ~elapsed_s
       with
       | Some trip -> trip_reaction trip
       | None -> ()
   in
-  (* installed on the lane for the duration of the run; called from the
+  (* installed on the engine for the duration of the run; called from the
      invoke/field re-resolution loops (see {!Budget.check_work}) *)
   let probe () =
     if live () && not (Budget.is_unlimited budget) then
       match
-        Budget.check_work budget ~tasks:(Trace.value ln.lc.c_tasks)
-          ~links:(Trace.value ln.lc.c_links - ln.llinks_at_task)
-          ~flows:(Trace.value ln.lc.c_live_flows) ~elapsed_s
+        Budget.check_work budget ~tasks:(Trace.value t.c.c_tasks)
+          ~links:(Trace.value t.c.c_links - t.links_at_task)
+          ~flows:(Trace.value t.c.c_live_flows) ~elapsed_s
       with
       | Some trip -> trip_reaction trip
       | None -> ()
   in
-  ln.lprobe <- probe;
+  t.probe <- probe;
   (* links made before the first task (root seeding, restored counters)
      are not this task's work *)
-  ln.llinks_at_task <- Trace.value ln.lc.c_links;
-  (* The parallel pre-pass runs only for the deduplicated engine in FIFO
-     order (the randomized drain exists to exercise order-independence
-     sequentially, and the reference engine is a specification, not a
-     performance surface).  Whatever the workers leave behind — nothing
-     on a clean quiescent stop, the un-drained remainder on a budget
-     stop — lands back on [lane0] and the sequential tail below finishes
-     exactly as it always has. *)
-  if
-    t.config.Config.jobs > 1 && t.mode = Dedup && random_order = None
-    && not (Worklist.is_empty ln.lwl)
-  then begin
-    match par_prepass t ~shard_seed ~budget ~elapsed_s with
-    | Some trip -> trip_reaction trip
-    | None -> closure_sweep t
-  end;
+  t.links_at_task <- Trace.value t.c.c_links;
   let drain_fifo () =
     match t.mode with
     | Dedup ->
-        while (not t.pause_pending) && not (Worklist.is_empty ln.lwl) do
-          process_flow t ln (Worklist.pop_exn ln.lwl);
+        while (not t.pause_pending) && not (Worklist.is_empty t.wl) do
+          process_flow t (Worklist.pop_exn t.wl);
           step_budget ()
         done
     | Reference ->
@@ -1518,13 +1008,13 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
     | Dedup ->
         let bag = ref [||] and len = ref 0 in
         let refill () =
-          let a = Worklist.pop_all ln.lwl in
+          let a = Worklist.pop_all t.wl in
           if Array.length a > 0 then begin
             bag := a;
             len := Array.length a
           end
         in
-        swap_drain bag len refill (process_flow t ln) (Worklist.push ln.lwl)
+        swap_drain bag len refill (process_flow t) (Worklist.push t.wl)
     | Reference ->
         let bag = ref [||] and len = ref 0 in
         let refill () =
@@ -1543,7 +1033,7 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
   drain ();
   if t.pause_pending then begin
     t.pause_pending <- false;
-    ln.lprobe <- (fun () -> ());
+    t.probe <- (fun () -> ());
     Paused (snapshot_bytes t)
   end
   else if t.degraded then begin
@@ -1566,7 +1056,7 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
               | _ -> ())
             g.Graph.g_flows)
         t.graphs;
-      (Ids.Meth.Tbl.length t.graphs, Trace.value ln.lc.c_links, !field_links)
+      (Ids.Meth.Tbl.length t.graphs, Trace.value t.c.c_links, !field_links)
     in
     let rec close prev =
       (* snapshot: notifying can link new callees and grow [t.graphs]
@@ -1574,7 +1064,7 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
       List.iter
         (fun (m : Program.meth) ->
           match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
-          | Some g -> List.iter (fun f -> notify t ln f) g.Graph.g_flows
+          | Some g -> List.iter (fun f -> notify t f) g.Graph.g_flows
           | None -> ())
         t.reachable_order;
       drain ();
@@ -1582,11 +1072,11 @@ let run ?random_order ?(on_budget = `Degrade) ?(shard_seed = 0) t =
       if s <> prev then close s
     in
     close (signature ());
-    ln.lprobe <- (fun () -> ());
+    t.probe <- (fun () -> ());
     Completed
   end
   else begin
-    ln.lprobe <- (fun () -> ());
+    t.probe <- (fun () -> ());
     Completed
   end
 
@@ -1619,7 +1109,7 @@ let is_degraded t = t.degraded
 let trace_of t = t.trace
 
 let stats t =
-  let c = t.lane0.lc in
+  let c = t.c in
   {
     tasks_processed = Trace.value c.c_tasks;
     input_tasks = Trace.value c.c_input;

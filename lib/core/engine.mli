@@ -81,27 +81,11 @@ val add_root : ?seed_params:bool -> t -> Skipflow_ir.Program.meth -> unit
 val run :
   ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
-  ?shard_seed:int ->
   t ->
   outcome
 (** Drain the worklist to the fixed point.  With [random_order:seed],
     pending work is picked pseudo-randomly instead of FIFO; the fixed
     point must not change (checked by the property tests).
-
-    With [Config.jobs > 1] (and the default {!Dedup} mode, no
-    [random_order]) the drain starts with a parallel pre-pass: the PVPG
-    is sharded by method over the call graph's SCC regions ({!Shard}),
-    each worker domain drains its shard with cross-shard work flowing
-    through bounded message queues, and a monitor stops the fleet at
-    global quiescence.  A sequential closure sweep then re-seeds any
-    propagation a racy edge-list read could have dropped and the ordinary
-    sequential drain closes the fixed point — the result is the same,
-    flow by flow, as [jobs = 1] (pinned by the [t_engine_perf] suite).
-    [shard_seed] varies the partition's tie-breaking only; it can change
-    scheduling, never results.  A budget trip during the pre-pass is
-    handled exactly like a sequential trip: workers stop at task
-    boundaries, their state merges back, and [`Degrade]/[`Pause] below
-    proceeds on the merged (resume-compatible) state.
 
     The run honors the configuration's {!Budget.t}; [on_budget] selects
     the reaction when a cap trips:

@@ -124,11 +124,8 @@ val analyze :
     Defaults: [config] {!Config.skipflow}, [mode] {!Engine.Dedup}, a
     fresh quiet trace.  [on_budget] is {!Engine.run}'s budget-trip
     reaction: [`Degrade] (default) or [`Pause] (the summary then carries
-    [outcome = Paused snapshot]).  [config.jobs > 1] engages the sharded
-    parallel solver (see {!Engine.run}) — same fixed point, flow by
-    flow, so every facade client (CLI, serve, batch, bench) gets the
-    knob with no API change.  (The trailing [unit] makes the optional
-    arguments erasable — all other parameters are labeled.) *)
+    [outcome = Paused snapshot]).  (The trailing [unit] makes the
+    optional arguments erasable — all other parameters are labeled.) *)
 
 val analyze_program :
   ?config:Config.t ->

@@ -80,7 +80,15 @@ let mode_name = function
 (* ----------------------------- persistence ---------------------------- *)
 
 let serve_snapshot_kind = "serve-state"
-let serve_snapshot_version = 1
+
+(* The payload embeds engine images — the resident state and every memo
+   entry — which {!I.thaw} decodes with no version check of its own, so
+   the engine's schema version is part of this one: bumping either the
+   serve layout or {!C.Engine.snapshot_version} invalidates [serve.snap]. *)
+let serve_layout_version = 1
+
+let snapshot_version ~engine = (serve_layout_version * 1000) + engine
+let serve_snapshot_version = snapshot_version ~engine:C.Engine.snapshot_version
 let snap_path dir = Filename.concat dir "serve.snap"
 let journal_path dir = Filename.concat dir "journal.jsonl"
 

@@ -80,3 +80,10 @@ val state : t -> Incremental.state option
 
 val finalize : t -> unit
 (** Final snapshot, journal flush and close.  Idempotent. *)
+
+val snapshot_version : engine:int -> int
+(** The [serve.snap] container version for a given engine schema
+    version.  The snapshot embeds engine images, so the file version
+    derives from {!C.Engine.snapshot_version}: a daemon only restores
+    [snapshot_version ~engine:C.Engine.snapshot_version], and a stale
+    file is logged and cold-started. *)

@@ -168,94 +168,6 @@ let test_dedup_budget_superset () =
        (reachable_ids precise.C.Analysis.engine)
        (reachable_ids degraded.C.Analysis.engine))
 
-(* -------------------- parallel solver equality ------------------------ *)
-
-(* The correctness bar for the sharded solver ([Config.jobs > 1]): the
-   fixed point must equal the sequential engine's flow by flow — same
-   reachable set, same enabled bit, same state and raw on every flow —
-   for every job count, both primitive lattices, and both the SkipFlow
-   and PTA feature sets.  Scheduling (who drains what, message
-   interleavings) is free to vary; results are not. *)
-
-let par_configs =
-  [
-    ("skipflow", C.Config.skipflow);
-    ("skipflow/product", { C.Config.skipflow with C.Config.pval = C.Pval.Product });
-    ("pta", C.Config.pta);
-  ]
-
-let fuzz_prog seed =
-  W.Gen_random.compile
-    {
-      W.Gen_random.seed;
-      classes = 3 + (seed mod 7);
-      meths_per_class = 1 + (seed mod 3);
-      max_stmts = 4 + (seed mod 5);
-    }
-
-let test_parallel_matches_sequential_fuzz () =
-  for seed = 0 to 11 do
-    let prog, main = fuzz_prog seed in
-    List.iter
-      (fun (name, config) ->
-        let seq = run ~mode:C.Engine.Dedup ~config prog main in
-        List.iter
-          (fun jobs ->
-            let par =
-              run ~mode:C.Engine.Dedup
-                ~config:{ config with C.Config.jobs }
-                prog main
-            in
-            check_same_fixed_point
-              ~ctx:(Printf.sprintf "seed %d, %s, jobs %d" seed name jobs)
-              seq par)
-          [ 1; 2; 4 ])
-      par_configs
-  done
-
-let test_parallel_matches_sequential_workload () =
-  (* the benchmark-sized workload: enough cross-method traffic that the
-     shards genuinely exchange messages *)
-  let prog, main =
-    W.Gen.compile { W.Gen.default_params with W.Gen.live_units = 6; dead_units = 2 }
-  in
-  let seq = run ~mode:C.Engine.Dedup prog main in
-  List.iter
-    (fun jobs ->
-      let par =
-        run ~mode:C.Engine.Dedup
-          ~config:{ C.Config.skipflow with C.Config.jobs }
-          prog main
-      in
-      check_same_fixed_point ~ctx:(Printf.sprintf "workload, jobs %d" jobs) seq
-        par)
-    [ 2; 4 ]
-
-(* Property: the fixed point is independent of the shard partition.  The
-   seed changes which SCC regions land on which shard (hence all message
-   routing), so any ownership bug shows up as a state difference. *)
-let test_parallel_shard_seed_property =
-  let arb =
-    QCheck.make
-      ~print:(fun (p, s) -> Printf.sprintf "prog_seed=%d shard_seed=%d" p s)
-      QCheck.Gen.(pair (int_bound 20) (int_bound 100_000))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"parallel fixed point is partition-independent"
-       ~count:12 arb (fun (prog_seed, shard_seed) ->
-         let prog, main = fuzz_prog prog_seed in
-         let seq = run ~mode:C.Engine.Dedup prog main in
-         let par =
-           C.Analysis.run
-             ~config:{ C.Config.skipflow with C.Config.jobs = 3 }
-             ~mode:C.Engine.Dedup ~shard_seed prog ~roots:[ main ]
-         in
-         check_same_fixed_point
-           ~ctx:
-             (Printf.sprintf "prog seed %d, shard seed %d" prog_seed shard_seed)
-           seq par;
-         true))
-
 let suite =
   ( "engine-perf",
     [
@@ -265,9 +177,4 @@ let suite =
         test_dedup_processes_fewer_tasks;
       Alcotest.test_case "budgeted dedup reaches a reachable superset" `Quick
         test_dedup_budget_superset;
-      Alcotest.test_case "parallel = sequential fixed point (fuzz corpus)"
-        `Quick test_parallel_matches_sequential_fuzz;
-      Alcotest.test_case "parallel = sequential fixed point (workload)" `Quick
-        test_parallel_matches_sequential_workload;
-      test_parallel_shard_seed_property;
     ] )

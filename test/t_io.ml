@@ -212,9 +212,8 @@ let test_appender_levels () =
    operation of the snapshot, cache, and serve journal sites, plus
    seeded fault plans on top; every recovery must be old bytes, new
    bytes, or a detected miss — the harness records anything else as a
-   failure.  Run through the CLI: the matrix forks, which OCaml 5
-   forbids in this process once the parallel-solver suites have spawned
-   domains. *)
+   failure.  Run through the CLI, which forks one child per crash
+   point. *)
 let test_crash_point_matrix () =
   in_temp_dir (fun dir ->
       let exe =

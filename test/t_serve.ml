@@ -474,6 +474,46 @@ let test_corrupt_snapshot_cold_start () =
           | Ok () -> ()
           | Error msg -> Alcotest.failf "recovered fixed point diverged: %s" msg))
 
+(* A serve snapshot embeds engine images that are decoded without a
+   version check of their own, so one written under an older engine
+   schema must be refused at the container (logged, cold start) rather
+   than unmarshaled into the current engine's layout. *)
+let test_stale_engine_version_cold_start () =
+  with_state_dir (fun dir ->
+      let logged = ref [] in
+      let cfg =
+        { quiet_cfg with
+          Sv.sv_state_dir = Some dir;
+          sv_log = (fun msg -> logged := msg :: !logged);
+        }
+      in
+      let srv = create_exn ~resume:false cfg in
+      ignore (run_all srv [ edit_req 1 base_src ]);
+      Sv.finalize srv;
+      let snap = Filename.concat dir "serve.snap" in
+      let current = Sv.snapshot_version ~engine:C.Engine.snapshot_version in
+      let stale = Sv.snapshot_version ~engine:(C.Engine.snapshot_version - 1) in
+      let payload =
+        match C.Snapshot.read ~path:snap ~kind:"serve-state" ~version:current with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "fresh snapshot unreadable: %s" (C.Snapshot.error_message e)
+      in
+      (match C.Snapshot.write ~path:snap ~kind:"serve-state" ~version:stale payload with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "cannot rewrite snapshot: %s" (C.Snapshot.error_message e));
+      Sys.remove (Filename.concat dir "journal.jsonl");
+      let srv2 = create_exn ~resume:true cfg in
+      (* a substring test via the corpus helper: [sub] occurs in [msg]
+         iff deleting it changes [msg] *)
+      let mentions sub msg = replace ~sub ~by:"" msg <> msg in
+      let why = Printf.sprintf "unsupported schema version %d" stale in
+      Alcotest.(check bool) "stale snapshot rejection was logged" true
+        (List.exists (fun msg -> mentions "rejected" msg && mentions why msg) !logged);
+      Alcotest.(check bool) "cold start has no resident state" true
+        (Sv.state srv2 = None);
+      let j = one_response (Sv.handle_line srv2 (edit_req 2 base_src)) in
+      Alcotest.(check bool) "cold-started daemon serves" true (bool_member "ok" j))
+
 let suite =
   ( "serve",
     [
@@ -496,4 +536,6 @@ let suite =
         test_kill_resume_byte_identical;
       Alcotest.test_case "corrupt snapshot falls back to a cold start" `Quick
         test_corrupt_snapshot_cold_start;
+      Alcotest.test_case "stale engine version falls back to a cold start"
+        `Quick test_stale_engine_version_cold_start;
     ] )
