@@ -6,11 +6,6 @@
      dune exec bench/main.exe figure9         -- Figure 9 (normalized metrics per suite)
      dune exec bench/main.exe ablation        -- extra: feature ablation
      dune exec bench/main.exe product         -- flat vs product primitive domain
-     dune exec bench/main.exe micro           -- bechamel micro-benchmarks
-     dune exec bench/main.exe json [opts]     -- machine-readable perf rows
-                                                 (--benches a,b  --min-dedup-ratio X
-                                                  --check-product-live-flows
-                                                  -o FILE; default BENCH_<n>.json)
 
    Environment:
      SKIPFLOW_SCALE   workload scale relative to the paper's method counts
@@ -21,7 +16,13 @@
    workloads, OCaml vs Java); the *shape* is what must match: SkipFlow
    strictly reduces reachable methods on every benchmark, sunflow is a
    ~50% outlier, counters track reachable methods, and analysis time does
-   not systematically increase. *)
+   not systematically increase.
+
+   The times printed here are in-process and indicative only.  Timing
+   that gates or compares changes comes from perfbench/ (fresh process
+   per run, per-layer spans from the same runs, fingerprinted workloads;
+   see perfbench/README.md).  The deterministic count gates (dedup task
+   ratio, product live flows) are tier-1 tests in test/t_engine_perf.ml. *)
 
 module Api = Skipflow_api
 module C = Skipflow_core
@@ -49,44 +50,26 @@ type row = {
   r_m : C.Metrics.t;
 }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-let analyze ?mode ?trace config prog main =
-  match Api.analyze_program ~config ?mode ?trace prog ~roots:[ main ] with
+let analyze config prog main =
+  match Api.analyze_program ~config prog ~roots:[ main ] with
   | Ok s -> s
   | Error e ->
       prerr_endline ("bench: " ^ Api.error_message e);
       exit 1
 
-(* Each repetition carries its own timed trace.  [keep] projects a
-   repetition's wall time and summary to what the caller reports, right
-   after that repetition, so no earlier engine stays live; the result is
-   the median-time repetition's projection, so its phase breakdown comes
-   from the same run as its time (no phase can exceed it). *)
-let measure ?mode ~reps ~keep config prog main =
+(* [keep] projects a repetition's wall time and summary to what the
+   caller reports, right after that repetition, so no earlier engine
+   stays live; the result is the median-time repetition's projection. *)
+let measure ~reps ~keep config prog main =
   let runs =
     List.init (max 1 reps) (fun _ ->
-        let trace = C.Trace.create ~timers:true () in
         let t0 = Unix.gettimeofday () in
-        let s = analyze ?mode ~trace config prog main in
+        let s = analyze config prog main in
         let t = Unix.gettimeofday () -. t0 in
         (t, keep t s))
   in
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) runs in
   snd (List.nth sorted (List.length sorted / 2))
-
-(* per-phase wall milliseconds out of a run's trace *)
-let phase_ms trace name =
-  match
-    List.find_opt (fun p -> String.equal p.C.Trace.ph_name name) (C.Trace.phases trace)
-  with
-  | Some p -> float_of_int p.C.Trace.ph_wall_us /. 1000.
-  | None -> 0.
-
-let build_ms trace =
-  float_of_int (C.Trace.value (C.Trace.counter trace "build.wall_us")) /. 1000.
 
 let run_bench (b : W.Suites.bench) : row * row =
   let params = W.Suites.params_of ~scale b in
@@ -278,274 +261,6 @@ let print_product () =
       end)
     W.Suites.all
 
-(* --------------------------- bechamel micro --------------------------- *)
-
-let print_micro () =
-  Printf.printf "\n===== Micro-benchmarks (bechamel) =====\n%!";
-  let open Bechamel in
-  let open Toolkit in
-  (* fixed small workloads so bechamel can iterate *)
-  let small = { W.Gen.default_params with live_units = 20; dead_units = 3; unused_units = 2 } in
-  let src = W.Gen.source small in
-  let prog, main = W.Gen.compile small in
-  let tests =
-    [
-      Test.make ~name:"frontend: lex+parse+typecheck+lower"
-        (Staged.stage (fun () -> Skipflow_frontend.Frontend.compile src));
-      Test.make ~name:"analysis: PTA"
-        (Staged.stage (fun () -> analyze C.Config.pta prog main));
-      Test.make ~name:"analysis: SkipFlow"
-        (Staged.stage (fun () -> analyze C.Config.skipflow prog main));
-      Test.make ~name:"analysis: SkipFlow preds-only"
-        (Staged.stage (fun () -> analyze C.Config.predicates_only prog main));
-      Test.make ~name:"baseline: RTA"
-        (Staged.stage (fun () -> Skipflow_baselines.Rta.run prog ~roots:[ main ]));
-      Test.make ~name:"baseline: CHA"
-        (Staged.stage (fun () -> Skipflow_baselines.Cha.run prog ~roots:[ main ]));
-      Test.make ~name:"interpreter: run main (fuel 50k)"
-        (Staged.stage (fun () ->
-             Skipflow_interp.Interp.run ~fuel:50_000 ~record_defs:false prog main));
-    ]
-  in
-  let test = Test.make_grouped ~name:"skipflow" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols (Instance.monotonic_clock) raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
-  List.iter
-    (fun name ->
-      let t = Hashtbl.find results name in
-      match Analyze.OLS.estimates t with
-      | Some [ est ] -> Printf.printf "%-45s %12.3f ms/run\n" name (est /. 1e6)
-      | _ -> Printf.printf "%-45s (no estimate)\n" name)
-    (List.sort compare names)
-
-(* ------------------------------ json verb ----------------------------- *)
-
-(* Machine-readable perf rows, one per (bench, config), written to
-   BENCH_<n>.json so the perf trajectory is tracked across PRs.  Each
-   bench runs under four configs: the two analyses of Table 1 with the
-   deduplicated engine ("PTA", "SkipFlow") and the same analyses on the
-   boxed-FIFO reference drain ("PTA-ref", "SkipFlow-ref"), so the file
-   carries its own task-deduplication baseline. *)
-
-type jrow = {
-  j_suite : string;
-  j_bench : string;
-  j_config : string;
-  j_pval : string;  (** primitive value domain: "flat" or "product" *)
-  j_time_ms : float;
-  j_build_ms : float;  (** PVPG construction (inside the solve) *)
-  j_solve_ms : float;  (** worklist drain to the fixed point *)
-  j_metrics_ms : float;  (** Table 1 metric collection *)
-  j_tasks : int;
-  j_dedup_hits : int;
-  j_reachable : int;
-  j_live_flows : int;
-}
-
-let json_configs =
-  [
-    ("PTA", C.Config.pta, C.Engine.Dedup);
-    ("SkipFlow", C.Config.skipflow, C.Engine.Dedup);
-    ("SkipFlow-product", product_config, C.Engine.Dedup);
-    ("PTA-ref", C.Config.pta, C.Engine.Reference);
-    ("SkipFlow-ref", C.Config.skipflow, C.Engine.Reference);
-  ]
-
-let json_bench (b : W.Suites.bench) : jrow list =
-  let params = W.Suites.params_of ~scale b in
-  let prog, main = W.Gen.compile params in
-  let n = Program.num_meths prog in
-  (* json rows feed regression gates, so keep at least 5 repetitions even on
-     the big programs: single measurements at scale 0.1 swing by 2x. *)
-  let reps = if n < 2000 then 9 else if n < 60_000 then 5 else 3 in
-  List.map
-    (fun (cname, config, mode) ->
-      measure ~mode ~reps config prog main ~keep:(fun t sum ->
-          let s = C.Engine.stats sum.Api.engine in
-          {
-            j_suite = b.W.Suites.suite;
-            j_bench = b.W.Suites.name;
-            j_config = cname;
-            j_pval = C.Pval.mode_name config.C.Config.pval;
-            j_time_ms = t *. 1000.;
-            j_build_ms = build_ms sum.Api.trace;
-            j_solve_ms = phase_ms sum.Api.trace "solve";
-            j_metrics_ms = phase_ms sum.Api.trace "metrics";
-            j_tasks = s.C.Engine.tasks_processed;
-            j_dedup_hits = C.Engine.dedup_hits s;
-            j_reachable = C.Engine.reachable_count sum.Api.engine;
-            j_live_flows = s.C.Engine.live_flows;
-          }))
-    json_configs
-
-let next_bench_file () =
-  let rec go n =
-    let f = Printf.sprintf "BENCH_%d.json" n in
-    if Sys.file_exists f then go (n + 1) else f
-  in
-  go 1
-
-(* The dedup win on a config: reference tasks / dedup tasks, summed over
-   the benches in the file (the CI smoke floor guards this number). *)
-let dedup_ratio rows config =
-  let sum c =
-    List.fold_left
-      (fun acc r -> if String.equal r.j_config c then acc + r.j_tasks else acc)
-      0 rows
-  in
-  let ded = sum config and refr = sum (config ^ "-ref") in
-  if ded = 0 then 0. else float_of_int refr /. float_of_int ded
-
-let speedup rows config =
-  let med c =
-    match
-      List.filter_map
-        (fun r -> if String.equal r.j_config c then Some r.j_time_ms else None)
-        rows
-    with
-    | [] -> 0.
-    | l -> median l
-  in
-  let ded = med config and refr = med (config ^ "-ref") in
-  if ded = 0. then 0. else refr /. ded
-
-let emit_json ~out rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  (* v4: rows lost the "jobs" field and the summary its "parallel_*"
-     fields (the parallel solver was removed) *)
-  Buffer.add_string b "  \"schema_version\": 4,\n";
-  Printf.bprintf b "  \"scale\": %g,\n" scale;
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Printf.bprintf b
-        "    {\"suite\": %S, \"bench\": %S, \"config\": %S, \"pval\": %S, \
-         \"time_ms\": %.3f, \
-         \"build_ms\": %.3f, \"solve_ms\": %.3f, \"metrics_ms\": %.3f, \
-         \"tasks\": %d, \"dedup_hits\": %d, \"reachable\": %d, \"live_flows\": %d}"
-        r.j_suite r.j_bench r.j_config r.j_pval r.j_time_ms r.j_build_ms
-        r.j_solve_ms r.j_metrics_ms r.j_tasks r.j_dedup_hits r.j_reachable
-        r.j_live_flows)
-    rows;
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"summary\": {\n";
-  Printf.bprintf b "    \"dedup_task_ratio_pta\": %.3f,\n" (dedup_ratio rows "PTA");
-  Printf.bprintf b "    \"dedup_task_ratio_skipflow\": %.3f,\n"
-    (dedup_ratio rows "SkipFlow");
-  Printf.bprintf b "    \"median_speedup_pta\": %.3f,\n" (speedup rows "PTA");
-  Printf.bprintf b "    \"median_speedup_skipflow\": %.3f\n"
-    (speedup rows "SkipFlow");
-  Buffer.add_string b "  }\n}\n";
-  let oc = open_out out in
-  Buffer.output_buffer oc b;
-  close_out oc
-
-let run_json args =
-  (* plain flag parsing, matching the harness style: [--benches a,b]
-     restricts the run, [--min-dedup-ratio X] makes the process fail when
-     the SkipFlow task-dedup ratio regresses below the floor (the CI smoke
-     job), [-o FILE] overrides the auto-numbered output *)
-  let benches = ref [] and floor_ = ref None and out = ref None in
-  let check_product = ref false in
-  let rec parse = function
-    | "--benches" :: v :: rest ->
-        benches := String.split_on_char ',' v;
-        parse rest
-    | "--min-dedup-ratio" :: v :: rest ->
-        floor_ := Some (float_of_string v);
-        parse rest
-    | "--check-product-live-flows" :: rest ->
-        check_product := true;
-        parse rest
-    | "-o" :: v :: rest ->
-        out := Some v;
-        parse rest
-    | [] -> ()
-    | other :: _ ->
-        Printf.eprintf "json: unknown argument %s\n" other;
-        exit 1
-  in
-  parse args;
-  let selected =
-    match !benches with
-    | [] -> W.Suites.all
-    | names ->
-        List.map
-          (fun n ->
-            match W.Suites.find n with
-            | Some b -> b
-            | None ->
-                Printf.eprintf "json: unknown benchmark %s\n" n;
-                exit 1)
-          names
-  in
-  let rows =
-    List.concat_map
-      (fun (b : W.Suites.bench) ->
-        Printf.printf "  %-22s ...%!" b.W.Suites.name;
-        let rows = json_bench b in
-        Printf.printf " ok\n%!";
-        rows)
-      selected
-  in
-  let out = match !out with Some f -> f | None -> next_bench_file () in
-  emit_json ~out rows;
-  let ratio = dedup_ratio rows "SkipFlow" in
-  Printf.printf
-    "wrote %s (%d rows; SkipFlow dedup task ratio %.2fx, median speedup %.2fx)\n" out
-    (List.length rows) ratio (speedup rows "SkipFlow");
-  (* precision gate: on every bench the product primitive domain must
-     reach a fixed point with no more live flows than the flat one, and
-     it must strictly reduce at least one bench in the selection *)
-  if !check_product then begin
-    let find cfg bn =
-      List.find_opt
-        (fun r ->
-          String.equal r.j_config cfg && String.equal r.j_bench bn)
-        rows
-    in
-    let bench_names = List.sort_uniq compare (List.map (fun r -> r.j_bench) rows) in
-    let strict = ref 0 in
-    List.iter
-      (fun bn ->
-        match (find "SkipFlow" bn, find "SkipFlow-product" bn) with
-        | Some flat, Some prod ->
-            if prod.j_live_flows > flat.j_live_flows then begin
-              Printf.eprintf "json: %s: product live_flows %d exceeds flat %d\n"
-                bn prod.j_live_flows flat.j_live_flows;
-              exit 1
-            end;
-            if prod.j_reachable > flat.j_reachable then begin
-              Printf.eprintf "json: %s: product reachable %d exceeds flat %d\n"
-                bn prod.j_reachable flat.j_reachable;
-              exit 1
-            end;
-            if prod.j_live_flows < flat.j_live_flows then incr strict
-        | _ ->
-            Printf.eprintf "json: %s: missing a SkipFlow/SkipFlow-product row\n" bn;
-            exit 1)
-      bench_names;
-    Printf.printf "product live-flows gate: %d/%d benches strictly reduced\n"
-      !strict (List.length bench_names);
-    if !strict = 0 then begin
-      Printf.eprintf "json: product domain reduced live_flows on no benchmark\n";
-      exit 1
-    end
-  end;
-  match !floor_ with
-  | Some f when ratio < f ->
-      Printf.eprintf "json: dedup task ratio %.2f below floor %.2f\n" ratio f;
-      exit 1
-  | _ -> ()
-
 (* -------------------------------- driver ------------------------------ *)
 
 let collect () =
@@ -573,18 +288,13 @@ let () =
       print_figure9 rows
   | "ablation" -> print_ablation ()
   | "product" -> print_product ()
-  | "micro" -> print_micro ()
-  | "json" ->
-      run_json (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
   | "all" ->
       let rows = collect () in
       print_table1 rows;
       print_figure9 rows;
       print_ablation ();
-      print_product ();
-      print_micro ()
+      print_product ()
   | other ->
-      Printf.eprintf
-        "unknown command %s (table1|figure9|ablation|product|micro|json|all)\n"
+      Printf.eprintf "unknown command %s (table1|figure9|ablation|product|all)\n"
         other;
       exit 1

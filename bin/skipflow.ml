@@ -773,20 +773,9 @@ let read_journal path =
   match C.Io.read_file path with
   | Error _ -> []
   | Ok contents ->
-      List.filter_map
-        (fun line ->
-          if String.trim line = "" then None
-          else
-            match K.Json.of_string line with
-            | exception K.Json.Parse_error _ -> None
-            | j -> (
-                match
-                  (K.Json.member "schema_version" j, K.Json.member "record" j)
-                with
-                | Some (K.Json.Int v), Some rj when v = batch_schema_version ->
-                    record_of_json rj
-                | _ -> None))
-        (String.split_on_char '\n' contents)
+      List.filter_map record_of_json
+        (K.Json.journal_payloads ~version:batch_schema_version ~key:"record"
+           contents)
 
 (** One in-process job execution.  The facade's guard means every failure
     — unreadable file, compile error, bad root, internal exception —
@@ -1419,8 +1408,8 @@ let supervise ~max_restarts ~log serve_child =
 
 let serve_cmd =
   let run file config roots mode max_tasks timeout max_flows state resume
-      socket deadline_ms max_queue retry_after_ms snapshot_every memo_entries
-      no_timings max_heap_mb supervise_flag max_restarts =
+      socket deadline_ms retry_after_ms snapshot_every memo_entries no_timings
+      max_heap_mb supervise_flag max_restarts =
     let config =
       { config with C.Config.budget = budget_of ~max_tasks ~timeout ~max_flows }
     in
@@ -1433,7 +1422,6 @@ let serve_cmd =
           sv_state_dir = state;
           sv_snapshot_every = snapshot_every;
           sv_deadline_ms = deadline_ms;
-          sv_max_queue = max_queue;
           sv_retry_after_ms = retry_after_ms;
           sv_memo_entries = memo_entries;
           sv_timings = not no_timings;
@@ -1517,21 +1505,14 @@ let serve_cmd =
              rolls back (requests can override with their own \
              $(i,deadline_ms) field)")
   in
-  let max_queue_arg =
-    Arg.(
-      value
-      & opt int S.Server.default_cfg.S.Server.sv_max_queue
-      & info [ "max-queue" ] ~docv:"N"
-          ~doc:
-            "Bounded request queue capacity; past it requests are shed \
-             with an overloaded error carrying a retry_after_ms hint")
-  in
   let retry_after_arg =
     Arg.(
       value
       & opt int S.Server.default_cfg.S.Server.sv_retry_after_ms
       & info [ "retry-after-ms" ] ~docv:"MS"
-          ~doc:"The hint carried by shed (overloaded) responses")
+          ~doc:
+            "The hint carried by overloaded responses (requests shed by \
+             the --max-heap-mb ceiling)")
   in
   let snapshot_every_arg =
     Arg.(
@@ -1598,12 +1579,12 @@ let serve_cmd =
           requests (analyze, lint, profile, edit, health, shutdown) over \
           stdin/stdout or a Unix socket, with a resident solved program, \
           incremental re-analysis on edit, per-request deadlines, \
-          overload shedding, snapshot/journal recovery, an optional \
-          supervisor, and a graceful memory ceiling")
+          snapshot/journal recovery, an optional supervisor, and a \
+          graceful memory ceiling that sheds load")
     Term.(
       const run $ file_opt $ analysis_arg $ roots_arg $ engine_arg
       $ max_tasks_arg $ timeout_arg $ max_flows_arg $ state_arg $ resume_arg
-      $ socket_arg $ deadline_arg $ max_queue_arg $ retry_after_arg
+      $ socket_arg $ deadline_arg $ retry_after_arg
       $ snapshot_every_arg $ memo_entries_arg $ no_timings_arg $ max_heap_arg
       $ supervise_arg $ max_restarts_arg)
 

@@ -291,7 +291,7 @@ let to_list_exn = function
 (* -------------------------- schema versioning ------------------------- *)
 
 (** The major version stamped as a top-level ["schema_version"] on every
-    JSON document the tools emit (findings, bench rows, traces, analyze
+    JSON document the tools emit (findings, traces, analyze
     summaries).  Bump on any incompatible shape change. *)
 let current_schema_version = 1
 
@@ -311,3 +311,21 @@ let check_schema_version ?(expected = current_schema_version) v =
       Stdlib.Error
         (Printf.sprintf "unsupported schema_version %d (this tool reads version %d)"
            n expected)
+
+(** The payloads of a versioned JSONL journal: every line shaped
+    [{"schema_version": version, key: payload}] yields its [payload], in
+    file order.  Blank lines, lines that do not parse (the torn last line
+    a SIGKILL mid-append leaves) and lines stamped with another version
+    or lacking [key] are skipped. *)
+let journal_payloads ~version ~key contents =
+  List.filter_map
+    (fun line ->
+      if String.trim line = "" then None
+      else
+        match of_string line with
+        | exception Parse_error _ -> None
+        | j -> (
+            match (schema_version j, member key j) with
+            | Some v, Some payload when v = version -> Some payload
+            | _ -> None))
+    (String.split_on_char '\n' contents)

@@ -162,8 +162,6 @@ val clone : ?trace:Trace.t -> ?budget:Budget.t -> t -> t
 val prog_of : t -> Skipflow_ir.Program.t
 val config_of : t -> Config.t
 
-val mode_of : t -> mode
-
 val roots : t -> Skipflow_ir.Ids.Meth.Set.t
 (** The methods registered via {!add_root} (never reported dead by
     clients — they are reachable by assumption). *)

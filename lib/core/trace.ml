@@ -15,7 +15,6 @@
 
 type counter = { c_name : string; mutable c_value : int }
 
-let counter_name c = c.c_name
 let value c = c.c_value
 let incr c = c.c_value <- c.c_value + 1
 

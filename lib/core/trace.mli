@@ -28,7 +28,6 @@
 type counter
 (** A named monotonic counter registered in some trace's registry. *)
 
-val counter_name : counter -> string
 val value : counter -> int
 
 val incr : counter -> unit

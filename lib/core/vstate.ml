@@ -28,8 +28,6 @@ let any = Any
 (* Always the fully-reduced singleton, independent of the pval mode, so
    [leq (const n) s] is the membership test under either lattice. *)
 let const n = Prim (Prim.const n)
-let vtrue = const 1
-let vfalse = const 0
 let null = Types Typeset.null_bit
 
 (* Re-establish the properness invariant after a [Prim] operation. *)

@@ -20,7 +20,6 @@ let equal a b =
   | Obj c1, Obj c2 -> Ids.Class.equal c1 c2
   | (Int | Bool | Void | Null | Obj _), _ -> false
 
-let is_primitive = function Int | Bool -> true | Void | Null | Obj _ -> false
 let is_object = function Obj _ | Null -> true | Int | Bool | Void -> false
 
 (** [lower t] is the base-language type corresponding to surface type [t]:

@@ -10,7 +10,6 @@ type t =
   | Obj of Ids.Class.t
 
 val equal : t -> t -> bool
-val is_primitive : t -> bool
 val is_object : t -> bool
 
 val lower : t -> t

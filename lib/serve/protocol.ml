@@ -52,7 +52,7 @@ let error_message = function
         "request exceeded its %dms deadline; resident state rolled back"
         deadline_ms
   | Overloaded { retry_after_ms } ->
-      Printf.sprintf "request queue full; retry after %dms" retry_after_ms
+      Printf.sprintf "over the memory ceiling; retry after %dms" retry_after_ms
   | Shutting_down -> "daemon is shutting down"
 
 (* the CLI's exit-code contract, extended: client mistakes are input

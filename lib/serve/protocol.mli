@@ -53,7 +53,8 @@ type error =
   | Deadline_exceeded of { deadline_ms : int }
       (** the request's budget tripped; resident state was rolled back *)
   | Overloaded of { retry_after_ms : int }
-      (** the bounded request queue is full; retry after the hint *)
+      (** shed: the heap is over the [--max-heap-mb] ceiling even after
+          dropping the memo and compacting; retry after the hint *)
   | Shutting_down  (** received after a [shutdown] request *)
 
 val error_kind : error -> string

@@ -1,8 +1,7 @@
 (** The daemon state machine.  Transport (stdin/socket, signals,
     blocking reads) lives in the CLI; this module owns request handling,
-    the journal, snapshots, warm-start replay, the bounded queue and
-    overload shedding — all driveable in process by tests and the fuzz
-    harness. *)
+    the journal, snapshots, warm-start replay and the memory ceiling —
+    all driveable in process by tests and the fuzz harness. *)
 
 module C = Skipflow_core
 module Api = Skipflow_api
@@ -20,7 +19,6 @@ type cfg = {
   sv_state_dir : string option;
   sv_snapshot_every : int;
   sv_deadline_ms : int option;
-  sv_max_queue : int;
   sv_retry_after_ms : int;
   sv_memo_entries : int;
   sv_timings : bool;
@@ -37,7 +35,6 @@ let default_cfg =
     sv_state_dir = None;
     sv_snapshot_every = 1;
     sv_deadline_ms = None;
-    sv_max_queue = 64;
     sv_retry_after_ms = 50;
     sv_memo_entries = 8;
     sv_timings = false;
@@ -65,13 +62,11 @@ type t = {
   mutable finalized : bool;
   mutable served : int;
   mutable mem_shed : int;  (** requests shed by the memory ceiling *)
-  queue : string Queue.t;
 }
 
 let generation t = match t.st with Some s -> s.I.generation | None -> 0
 let state t = t.st
 let wants_shutdown t = t.shutdown
-let pending t = Queue.length t.queue
 
 let mode_name = function
   | C.Engine.Dedup -> "dedup"
@@ -145,36 +140,20 @@ let read_journal path =
   | Error _ -> []
   | Ok contents ->
       List.filter_map
-        (fun line ->
-          if String.trim line = "" then None
-          else
-            match Json.of_string line with
-            | exception Json.Parse_error _ -> None
-            | j -> (
-                match
-                  (Json.member "schema_version" j, Json.member "journal" j)
-                with
-                | Some (Json.Int v), Some jr when v = P.schema_version -> (
-                    match
-                      ( Json.member "gen" jr,
-                        Json.member "digest" jr,
-                        Json.member "ok" jr,
-                        Json.member "response" jr )
-                    with
-                    | ( Some (Json.Int re_gen),
-                        Some (Json.Str re_digest),
-                        Some (Json.Bool re_ok),
-                        Some resp ) ->
-                        Some
-                          {
-                            re_gen;
-                            re_digest;
-                            re_ok;
-                            re_response = P.response_line resp;
-                          }
-                    | _ -> None)
-                | _ -> None))
-        (String.split_on_char '\n' contents)
+        (fun jr ->
+          match
+            ( Json.member "gen" jr,
+              Json.member "digest" jr,
+              Json.member "ok" jr,
+              Json.member "response" jr )
+          with
+          | ( Some (Json.Int re_gen),
+              Some (Json.Str re_digest),
+              Some (Json.Bool re_ok),
+              Some resp ) ->
+              Some { re_gen; re_digest; re_ok; re_response = P.response_line resp }
+          | _ -> None)
+        (Json.journal_payloads ~version:P.schema_version ~key:"journal" contents)
 
 (* One [write(2)] per line on an O_APPEND descriptor (the {!C.Io}
    appender), so a SIGKILL tears at most the final line; [--durability
@@ -380,9 +359,11 @@ let heap_mb () =
     heap crosses [sv_max_heap_mb], drop the cheap-to-recompute state
     first — the memo LRU and the resident trace's event buffer — and
     compact; only if the heap is {e still} over the ceiling is the
-    request shed (with the retry hint).  Shed-by-memory responses are
-    not journaled, same rationale as queue shedding: memory pressure
-    depends on timing, and replay must stay deterministic. *)
+    request shed (with the retry hint).  Shed responses are not
+    journaled: memory pressure depends on timing, and replay must stay
+    deterministic.  A shed request re-sent after a restart simply
+    desynchronizes the replay cursor, which degrades gracefully to
+    fresh (deterministic) processing. *)
 let over_ceiling t =
   match t.cfg.sv_max_heap_mb with
   | None -> false
@@ -471,32 +452,6 @@ let handle_line t line =
     | Some responses -> responses
     | None -> process t line
 
-(* -------------------------- queue and shedding ------------------------ *)
-
-let submit t line =
-  if String.trim line = "" then []
-  else if Queue.length t.queue >= t.cfg.sv_max_queue then begin
-    (* shed, never block: the overload response is immediate, carries the
-       retry hint, and is deliberately NOT journaled — shedding depends
-       on arrival timing, so replaying it would bake nondeterminism into
-       the journal.  A shed request re-sent after a restart simply
-       desynchronizes the replay cursor, which degrades gracefully to
-       fresh (deterministic) processing. *)
-    [ P.response_line
-        (P.response_error ~id:(P.request_id line)
-           (P.Overloaded { retry_after_ms = t.cfg.sv_retry_after_ms }));
-    ]
-  end
-  else begin
-    Queue.add line t.queue;
-    []
-  end
-
-let drain_one t =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some line -> Some (handle_line t line)
-
 (* ------------------------------ lifecycle ----------------------------- *)
 
 let create ?initial ~resume cfg =
@@ -512,7 +467,6 @@ let create ?initial ~resume cfg =
       finalized = false;
       served = 0;
       mem_shed = 0;
-      queue = Queue.create ();
     }
   in
   Option.iter (fun dir -> ignore (C.Io.mkdir_p dir)) cfg.sv_state_dir;

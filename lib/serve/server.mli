@@ -27,7 +27,6 @@ type cfg = {
   sv_snapshot_every : int;
       (** mutations between snapshots; 1 = after every mutation *)
   sv_deadline_ms : int option;  (** default per-request deadline *)
-  sv_max_queue : int;  (** bounded request queue capacity *)
   sv_retry_after_ms : int;  (** the hint shed responses carry *)
   sv_memo_entries : int;  (** memo capacity (solved states) *)
   sv_timings : bool;  (** report wall_us; off = 0, byte-comparable *)
@@ -44,8 +43,8 @@ type cfg = {
 
 val default_cfg : cfg
 (** skipflow config, dedup engine, main root, no state dir, snapshot
-    every mutation, no deadline, queue of 64, retry hint 50ms, 8 memo
-    entries, timings off, silent log. *)
+    every mutation, no deadline, retry hint 50ms, 8 memo entries, no
+    memory ceiling, timings off, silent log. *)
 
 type t
 
@@ -63,15 +62,6 @@ val handle_line : t -> string -> string list
     dispatch, journal, snapshot; returns the response lines (empty for a
     blank input line).  Never raises. *)
 
-val submit : t -> string -> string list
-(** Enqueue a request line, or shed it: when the bounded queue is full
-    the returned list carries the {!Protocol.Overloaded} response (with
-    the [retry_after_ms] hint) and the line is dropped. *)
-
-val drain_one : t -> string list option
-(** Process the oldest queued request ([None] if the queue is empty). *)
-
-val pending : t -> int
 val wants_shutdown : t -> bool
 (** A [shutdown] request was processed; the loop should {!finalize}. *)
 

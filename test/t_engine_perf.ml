@@ -9,7 +9,12 @@
      emits accounted in the [dedup_*] counters;
    - degradation under a task budget still only ever widens: the dedup
      engine's budget-tripped reachable set is a superset of the precise
-     one. *)
+     one;
+   - the two deterministic count gates on the fj-kmeans and scala-kmeans
+     Table-1 workloads at scale 0.02: the reference/dedup SkipFlow task
+     ratio stays >= 2.0, and the product primitive domain never adds live
+     flows or reachable methods over the flat one and strictly removes
+     live flows somewhere. *)
 
 open Skipflow_ir
 module C = Skipflow_core
@@ -168,6 +173,58 @@ let test_dedup_budget_superset () =
        (reachable_ids precise.C.Analysis.engine)
        (reachable_ids degraded.C.Analysis.engine))
 
+(* ------------------ count gates on the Table-1 workloads ---------------- *)
+
+let gate_benches =
+  lazy
+    (List.map
+       (fun name ->
+         let b = Option.get (W.Suites.find name) in
+         (name, W.Gen.compile (W.Suites.params_of ~scale:0.02 b)))
+       [ "fj-kmeans"; "scala-kmeans" ])
+
+let engine_of ~mode ~config (prog, main) =
+  (run ~mode ~config prog main).C.Analysis.engine
+
+(* Summed over both benches, the reference drain must process at least
+   twice the tasks of the deduplicated one (measured: 92,250 / 22,363 =
+   4.13x).  Below 2.0 the engine stopped collapsing work. *)
+let test_dedup_task_ratio_floor () =
+  let tasks mode =
+    List.fold_left
+      (fun acc (_, p) ->
+        let e = engine_of ~mode ~config:C.Config.skipflow p in
+        acc + (C.Engine.stats e).C.Engine.tasks_processed)
+      0 (Lazy.force gate_benches)
+  in
+  let ded = tasks C.Engine.Dedup and refr = tasks C.Engine.Reference in
+  let ratio = float_of_int refr /. float_of_int ded in
+  if ratio < 2.0 then
+    Alcotest.failf "SkipFlow dedup task ratio %.2f below floor 2.0 (ref %d, dedup %d)"
+      ratio refr ded
+
+let test_product_never_adds_flows () =
+  let product = { C.Config.skipflow with C.Config.pval = C.Pval.Product } in
+  let strict =
+    List.fold_left
+      (fun strict (name, p) ->
+        let count config =
+          let e = engine_of ~mode:C.Engine.Dedup ~config p in
+          ((C.Engine.stats e).C.Engine.live_flows, C.Engine.reachable_count e)
+        in
+        let flat_flows, flat_reach = count C.Config.skipflow in
+        let prod_flows, prod_reach = count product in
+        if prod_flows > flat_flows then
+          Alcotest.failf "%s: product live_flows %d exceeds flat %d" name prod_flows
+            flat_flows;
+        if prod_reach > flat_reach then
+          Alcotest.failf "%s: product reachable %d exceeds flat %d" name prod_reach
+            flat_reach;
+        if prod_flows < flat_flows then strict + 1 else strict)
+      0 (Lazy.force gate_benches)
+  in
+  if strict = 0 then Alcotest.fail "product domain reduced live_flows on no benchmark"
+
 let suite =
   ( "engine-perf",
     [
@@ -177,4 +234,8 @@ let suite =
         test_dedup_processes_fewer_tasks;
       Alcotest.test_case "budgeted dedup reaches a reachable superset" `Quick
         test_dedup_budget_superset;
+      Alcotest.test_case "dedup task ratio floor on the kmeans benches" `Quick
+        test_dedup_task_ratio_floor;
+      Alcotest.test_case "product adds no live flows on the kmeans benches" `Quick
+        test_product_never_adds_flows;
     ] )

@@ -2,7 +2,8 @@
    facade error variant and every serve-specific error, each with its
    stable kind and exit code), incremental-vs-fresh flow-by-flow equality
    over an edit corpus that exercises every strategy, deadline rollback,
-   overload shedding, and kill-9/warm-restart response byte-equality. *)
+   memory-ceiling shedding, and kill-9/warm-restart response
+   byte-equality. *)
 
 module C = Skipflow_core
 module K = Skipflow_checks
@@ -371,28 +372,65 @@ let test_deadline_rollback () =
   Alcotest.(check bool) "edit commits without deadline" true (bool_member "ok" j);
   Alcotest.(check int) "generation advanced" (gen0 + 1) (Sv.generation srv)
 
-let test_overload_shedding () =
-  let srv =
-    create_exn ~initial:(`Text base_src) ~resume:false
-      { quiet_cfg with Sv.sv_max_queue = 1; sv_retry_after_ms = 75 }
-  in
-  Alcotest.(check (list string)) "first enqueues" []
-    (Sv.submit srv (op_req 1 "health"));
-  Alcotest.(check int) "one pending" 1 (Sv.pending srv);
-  let shed = one_response (Sv.submit srv (op_req 2 "health")) in
-  Alcotest.(check bool) "shed not ok" false (bool_member "ok" shed);
-  Alcotest.(check string) "shed kind" "overloaded"
-    (str_member "kind" (error_of shed));
-  Alcotest.(check int) "retry hint" 75
-    (int_member "retry_after_ms" (error_of shed));
-  Alcotest.(check int) "still one pending" 1 (Sv.pending srv);
-  (match Sv.drain_one srv with
-  | Some [ line ] ->
-      let j = K.Json.of_string (String.trim line) in
-      Alcotest.(check bool) "queued request served" true (bool_member "ok" j)
-  | _ -> Alcotest.fail "drain_one served nothing");
-  Alcotest.(check int) "queue drained" 0 (Sv.pending srv);
-  Alcotest.(check bool) "drained dry" true (Sv.drain_one srv = None)
+(* A memory ceiling the heap is always over: every mutating or
+   state-reading request is shed with the configured retry hint, nothing
+   commits, and nothing shed reaches the journal (shedding depends on
+   timing, so replay must never see it); health and shutdown still
+   answer, because they are how an operator finds out. *)
+let test_memory_ceiling_sheds () =
+  with_state_dir (fun dir ->
+      let srv =
+        create_exn ~initial:(`Text base_src) ~resume:false
+          { quiet_cfg with
+            Sv.sv_state_dir = Some dir;
+            sv_max_heap_mb = Some 0;
+            sv_retry_after_ms = 75;
+          }
+      in
+      let gen0 = Sv.generation srv in
+      (* ~4 MB held live across the shed requests keeps the heap over the
+         0 MB ceiling however little else the process holds *)
+      let ballast = Array.make (1 lsl 19) 0 in
+      let shed =
+        [ edit_req 1 live_edit; op_req 2 "analyze"; op_req 3 "lint"; op_req 4 "profile" ]
+      in
+      List.iter
+        (fun line ->
+          let j = one_response (Sv.handle_line srv line) in
+          Alcotest.(check bool) "shed not ok" false (bool_member "ok" j);
+          Alcotest.(check string) "shed kind" "overloaded"
+            (str_member "kind" (error_of j));
+          Alcotest.(check int) "retry hint" 75
+            (int_member "retry_after_ms" (error_of j)))
+        shed;
+      ignore (Sys.opaque_identity ballast);
+      Alcotest.(check int) "generation did not advance" gen0 (Sv.generation srv);
+      let health = one_response (Sv.handle_line srv (op_req 5 "health")) in
+      Alcotest.(check bool) "health answers" true (bool_member "ok" health);
+      (match K.Json.member "result" health with
+      | Some r ->
+          Alcotest.(check int) "shed requests counted" (List.length shed)
+            (int_member "memory_shed" r);
+          Alcotest.(check int) "health generation" gen0 (int_member "generation" r)
+      | None -> Alcotest.fail "health has no result");
+      let bye = one_response (Sv.handle_line srv (op_req 6 "shutdown")) in
+      Alcotest.(check bool) "shutdown answers" true (bool_member "ok" bye);
+      Alcotest.(check bool) "wants shutdown" true (Sv.wants_shutdown srv);
+      Sv.finalize srv;
+      let journaled_ids =
+        match C.Io.read_file (Filename.concat dir "journal.jsonl") with
+        | Error e -> Alcotest.failf "journal unreadable: %s" (C.Io.error_message e)
+        | Ok contents ->
+            List.map
+              (fun jr ->
+                match K.Json.member "response" jr with
+                | Some resp -> int_member "id" resp
+                | None -> Alcotest.fail "journal entry without a response")
+              (K.Json.journal_payloads ~version:P.schema_version ~key:"journal"
+                 contents)
+      in
+      Alcotest.(check (list int)) "only health and shutdown journaled" [ 5; 6 ]
+        journaled_ids)
 
 (* ----------------------- kill -9 and warm restart ----------------------- *)
 
@@ -530,8 +568,8 @@ let suite =
         test_server_structured_errors;
       Alcotest.test_case "deadline trips roll the resident state back" `Quick
         test_deadline_rollback;
-      Alcotest.test_case "bounded queue sheds with a retry hint" `Quick
-        test_overload_shedding;
+      Alcotest.test_case "memory ceiling sheds with a retry hint" `Quick
+        test_memory_ceiling_sheds;
       Alcotest.test_case "kill -9 / resume replays byte-identically" `Quick
         test_kill_resume_byte_identical;
       Alcotest.test_case "corrupt snapshot falls back to a cold start" `Quick
