@@ -38,6 +38,7 @@ type stats = {
   appends : int;
   fsyncs : int;
   renames : int;
+  unlinks : int;
   retries : int;
   faults : int;
 }
@@ -46,6 +47,7 @@ let s_writes = ref 0
 let s_appends = ref 0
 let s_fsyncs = ref 0
 let s_renames = ref 0
+let s_unlinks = ref 0
 let s_retries = ref 0
 let s_faults = ref 0
 
@@ -55,6 +57,7 @@ let stats () =
     appends = !s_appends;
     fsyncs = !s_fsyncs;
     renames = !s_renames;
+    unlinks = !s_unlinks;
     retries = !s_retries;
     faults = !s_faults;
   }
@@ -376,7 +379,8 @@ let unlink path =
   run_guarded ~op:"unlink" ~path ~on_failure:ignore (fun () ->
       attempt Kunlink ~op:"unlink" ~path (fun () ->
           try Unix.unlink path
-          with Unix.Unix_error (Unix.ENOENT, _, _) -> ()))
+          with Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+      incr s_unlinks)
 
 let rec mkdir_p_exn path =
   if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)

@@ -132,6 +132,7 @@ type stats = {
   appends : int;  (** journal lines appended *)
   fsyncs : int;  (** [fsync(2)] calls issued (files and directories) *)
   renames : int;
+  unlinks : int;  (** {!unlink}s completed (a missing file counts) *)
   retries : int;  (** EINTR/EAGAIN retries absorbed *)
   faults : int;  (** faults injected (all plans in this process) *)
 }

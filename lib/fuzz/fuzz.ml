@@ -480,8 +480,10 @@ let crash_seed seed =
    demand byte-identical responses for the replayed prefix plus a final
    resident fixed point flow-identical to a fresh solve; feed truncated
    and garbage request lines and demand structured errors with the daemon
-   still serving; corrupt the serve snapshot in seed-varied ways and
-   demand a logged cold start, never an escape. *)
+   still serving; corrupt the serve manifest and, separately, one of
+   its state entries in seed-varied ways (or delete the entry) and
+   demand a logged recovery — a dropped memo entry or a cold start —
+   never an escape. *)
 
 module Sv = Skipflow_serve.Server
 module Incr = Skipflow_serve.Incremental
@@ -685,8 +687,104 @@ let serve_seed seed =
                                   fail ~case:("serve:" ^ mname)
                                     "recovered daemon has no resident state")))
                     (mutations ~seed ~len:(String.length intact) intact)));
+          (* damaged or deleted state entries: a session that leaves the
+             alternate program in the memo and [base] resident, then one
+             seed-chosen entry under [states/] damaged every way the
+             snapshot was.  The damage must be logged; a memo-only entry
+             drops out of the memo with the resident state restored, a
+             resident one cold-starts; either way the daemon re-solves
+             to the straight fixed point. *)
+          let dir3 = temp_state_dir () in
+          (match Sv.create ~resume:false (serve_cfg (Some dir3)) with
+          | Error msg -> fail ~case:"serve:entry" "create failed: %s" msg
+          | Ok srv -> (
+              let states = Filename.concat dir3 "states" in
+              let listing () =
+                List.sort String.compare (Array.to_list (Sys.readdir states))
+              in
+              ignore (Sv.handle_line srv (edit_req 1 alt));
+              let alt_entries = listing () in
+              ignore (Sv.handle_line srv (edit_req 2 base));
+              Sv.finalize srv;
+              (try Sys.remove (Filename.concat dir3 "journal.jsonl")
+               with Sys_error _ -> ());
+              let saved () =
+                let entries = listing () in
+                ( entries,
+                  List.map
+                    (fun p -> (p, read_bytes p))
+                    (List.map (Filename.concat states) entries
+                    @ [ Filename.concat dir3 "serve.snap" ]) )
+              in
+              match saved () with
+              | exception Sys_error m ->
+                  fail ~case:"serve:entry" "state unreadable: %s" m
+              | [], _ -> fail ~case:"serve:entry" "the session wrote no entry"
+              | entries, intact ->
+                  let victim =
+                    List.nth entries (seed mod List.length entries)
+                  in
+                  let path = Filename.concat states victim in
+                  let resident_hit = not (List.mem victim alt_entries) in
+                  let bytes = List.assoc path intact in
+                  List.iter
+                    (fun (mname, damaged) ->
+                      let case = "serve:entry-" ^ mname in
+                      rm_tree dir3;
+                      Unix.mkdir dir3 0o755;
+                      Unix.mkdir states 0o755;
+                      List.iter (fun (p, b) -> write_bytes p b) intact;
+                      (match damaged with
+                      | Some b -> write_bytes path b
+                      | None -> Sys.remove path);
+                      let logged = ref 0 in
+                      let cfg =
+                        { (serve_cfg (Some dir3)) with
+                          Sv.sv_log = (fun _ -> incr logged) }
+                      in
+                      match Sv.create ~resume:true cfg with
+                      | exception e ->
+                          fail ~case "exception escaped the resume: %s"
+                            (Printexc.to_string e)
+                      | Error msg ->
+                          fail ~case
+                            "damaged entry refused instead of recovery: %s" msg
+                      | Ok srv -> (
+                          if !logged = 0 then
+                            fail ~case "damaged %s entry was not logged"
+                              (if resident_hit then "resident" else "memo");
+                          if (Sv.state srv = None) <> resident_hit then
+                            fail ~case
+                              "a damaged %s entry %s the resident state"
+                              (if resident_hit then "resident" else "memo")
+                              (if resident_hit then "kept" else "lost");
+                          match Sv.handle_line srv (edit_req 3 base) with
+                          | exception e ->
+                              fail ~case
+                                "exception escaped the recovered daemon: %s"
+                                (Printexc.to_string e)
+                          | _ -> (
+                              match (Sv.state srv, Sv.state straight_srv) with
+                              | Some a, Some b -> (
+                                  match
+                                    Incr.same_fixed_point a.Incr.engine
+                                      b.Incr.engine
+                                  with
+                                  | Ok () -> probe ()
+                                  | Error msg ->
+                                      fail ~case
+                                        "recovered fixed point diverged: %s"
+                                        msg)
+                              | _ ->
+                                  fail ~case
+                                    "recovered daemon has no resident state")))
+                    (("delete", None)
+                    :: List.map
+                         (fun (m, b) -> (m, Some b))
+                         (mutations ~seed ~len:(String.length bytes) bytes))));
           rm_tree dir;
-          rm_tree dir2));
+          rm_tree dir2;
+          rm_tree dir3));
       (List.rev !failures, !checked)
 
 (* ------------------------- crash-point matrix -------------------------- *)
@@ -703,10 +801,11 @@ let serve_seed seed =
      straight run's fixed point;
    - the cache site: a lookup serves the old value, the new value, or a
      miss — never a torn entry, never an exception;
-   - the serve site (journal + serve snapshot): a resumed daemon always
-     comes up (replay or cold start), serves the full request stream,
-     and lands on the same resident fixed point as an uninterrupted
-     session.
+   - the serve site (journal, state entries, manifest, unlinks of
+     entries the manifest stopped naming): a resumed daemon always comes
+     up (replay or cold start), serves the full request stream, lands on
+     the same resident fixed point as an uninterrupted session, and
+     leaves no orphan entry or tmp file behind.
 
    On top of the crash matrix, seeded fault plans (EIO / ENOSPC / EINTR
    / short writes / torn renames at rate 1-in-2) run each site in
@@ -915,8 +1014,13 @@ let chaos_seed seed =
                   edit_req 3 alt;
                 ]
               in
+              (* a one-entry memo, so that the second edit evicts the
+                 first program's entry and the session unlinks it: the
+                 matrix then kills the daemon at an entry write, at a
+                 manifest publish and at an unlink *)
+              let cfg dir = { (serve_cfg dir) with Sv.sv_memo_entries = 1 } in
               let session ~resume dir lines =
-                match Sv.create ~resume (serve_cfg dir) with
+                match Sv.create ~resume (cfg dir) with
                 | Error msg -> Error msg
                 | Ok srv ->
                     List.iter (fun l -> ignore (Sv.handle_line srv l)) lines;
@@ -938,11 +1042,39 @@ let chaos_seed seed =
                     rm_tree dir;
                     Unix.mkdir dir 0o755
                   in
+                  let before = C.Io.stats () in
                   let total = count_ops work in
+                  let after = C.Io.stats () in
                   reset ();
                   if total = 0 then
                     fail ~case:"chaos:serve"
                       "serve session ticked no IO operations";
+                  (* two entries and at least two manifests published *)
+                  if after.C.Io.writes - before.C.Io.writes < 4 then
+                    fail ~case:"chaos:serve"
+                      "serve session published %d files, expected entries \
+                       and manifests"
+                      (after.C.Io.writes - before.C.Io.writes);
+                  if after.C.Io.unlinks = before.C.Io.unlinks then
+                    fail ~case:"chaos:serve"
+                      "serve session unlinked no evicted entry";
+                  (* what a recovered session leaves: the manifest, at most
+                     one entry per memo slot plus the resident, no tmp *)
+                  let leftovers () =
+                    let names d =
+                      try Array.to_list (Sys.readdir d) with Sys_error _ -> []
+                    in
+                    let states = names (Filename.concat dir "states") in
+                    let tmp =
+                      List.filter
+                        (fun n ->
+                          String.starts_with ~prefix:"serve.snap.tmp." n)
+                        (names dir)
+                    in
+                    if List.length states > 2 || tmp <> [] then
+                      Some (List.length states, List.length tmp)
+                    else None
+                  in
                   let check_recovered ~case k =
                     match session ~resume:true (Some dir) lines with
                     | exception e ->
@@ -951,6 +1083,13 @@ let chaos_seed seed =
                           k (Printexc.to_string e)
                     | Error msg -> fail ~case "op %d: recovery refused: %s" k msg
                     | Ok srv -> (
+                        (match leftovers () with
+                        | Some (entries, tmp) ->
+                            fail ~case
+                              "op %d: recovery left %d entries and %d tmp \
+                               files"
+                              k entries tmp
+                        | None -> ());
                         match (Sv.state srv, Sv.state straight_srv) with
                         | Some a, Some b -> (
                             match

@@ -139,13 +139,16 @@ let memo_key ~config ~mode ~roots ~source =
 
 (* ----------------------------- persistence ---------------------------- *)
 
+(* No generation in here: the same solved state frozen at different
+   generations must give the same bytes, so that the serve daemon's
+   write-once, content-named state entries are reused across memo hits.
+   The daemon's manifest carries the resident generation instead. *)
 type frozen = {
   fr_source : string;
   fr_roots : string list;
   fr_snapshot : string;
   fr_meth_hashes : (string * string) list;
   fr_hier_hash : string;
-  fr_generation : int;
 }
 
 let freeze st =
@@ -156,7 +159,6 @@ let freeze st =
       fr_snapshot = st.snapshot;
       fr_meth_hashes = st.meth_hashes;
       fr_hier_hash = st.hier_hash;
-      fr_generation = st.generation;
     }
     []
 
@@ -179,7 +181,7 @@ let thaw bytes =
               reachable = reachable_names engine;
               meth_hashes = fr.fr_meth_hashes;
               hier_hash = fr.fr_hier_hash;
-              generation = fr.fr_generation;
+              generation = 0;
             })
 
 (* ----------------------------- operations ----------------------------- *)
@@ -245,9 +247,16 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
     Ok { o_state = st; o_strategy = Resident; o_verified = false; o_memo_adds = [] }
   else begin
     (* on commit, memoize the pre-edit state too, so reverting this edit
-       is a hit *)
+       is a hit.  The resident state's entry is normally in the memo
+       already (every commit adds it), so its bytes are reused rather
+       than marshaled again; only a memo emptied since (capacity, the
+       memory ceiling) freezes it afresh. *)
+    let pre_key = memo_key ~config ~mode ~roots:st.roots ~source:st.source in
     let pre_add =
-      (memo_key ~config ~mode ~roots:st.roots ~source:st.source, freeze st)
+      ( pre_key,
+        match Memo.peek memo pre_key with
+        | Some bytes -> bytes
+        | None -> freeze st )
     in
     let full reason =
       match

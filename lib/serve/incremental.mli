@@ -84,7 +84,7 @@ module Memo : sig
   type t
   (** A bounded LRU from {!C.Cache.key} content hashes to solved states
       (engines kept as frozen bytes, so entries are self-contained
-      values that survive serialization into the serve snapshot). *)
+      values the serve daemon persists as-is, one state entry each). *)
 
   val create : int -> t
 
@@ -99,8 +99,9 @@ module Memo : sig
       [o_memo_adds] through this exactly when they commit it. *)
 
   val entries : t -> (string * string) list
-  (** [(key, frozen state bytes)], most recently used first — the
-      serializable image persisted into the serve snapshot. *)
+  (** [(key, frozen state bytes)], most recently used first — what the
+      serve snapshot persists.  An entry's bytes never change once
+      added. *)
 
   val restore : int -> (string * string) list -> t
 
@@ -149,8 +150,9 @@ val edit :
   (outcome, Protocol.error) result
 (** Classify and apply a source edit: resident / memo / reuse / full.
     [memo] is only read ({!Memo.peek}); the writes — including the
-    pre-edit state, so reverting an edit is a hit — come back in
-    [o_memo_adds] for the caller to apply on commit. *)
+    pre-edit state, so reverting an edit is a hit, with the memo's own
+    bytes for it when it has them — come back in [o_memo_adds] for the
+    caller to apply on commit. *)
 
 val analyze_roots :
   config:C.Config.t ->
@@ -166,11 +168,14 @@ val analyze_roots :
 (** {1 Persistence} *)
 
 val freeze : state -> string
-(** Serialize a state (the engine as its snapshot bytes). *)
+(** Serialize a state (the engine as its snapshot bytes).  The
+    generation is not part of the bytes: one solved state freezes to the
+    same bytes whatever generation it was committed at. *)
 
 val thaw : string -> (state, string) result
 (** Rebuild a frozen state; the engine is restored from its snapshot
-    bytes with an unlimited budget.  [Error] on undecodable bytes. *)
+    bytes with an unlimited budget, and the generation is [0] (callers
+    set their own).  [Error] on undecodable bytes. *)
 
 (** {1 Equality certification} *)
 

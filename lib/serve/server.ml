@@ -62,6 +62,15 @@ type t = {
   mutable finalized : bool;
   mutable served : int;
   mutable mem_shed : int;  (** requests shed by the memory ceiling *)
+  mutable resident_bytes : string option;
+      (** {!I.freeze} of [st] — the very string of its memo entry *)
+  mutable on_disk : string list;
+      (** entry digests this daemon wrote (or read back intact) *)
+  mutable stale : string list;
+      (** entries an earlier manifest names that this daemon did not
+          verify: left in place until its own manifest replaces that one *)
+  mutable digests : (string * string) list;
+      (** (frozen bytes, entry digest), matched by physical equality *)
 }
 
 let generation t = match t.st with Some s -> s.I.generation | None -> 0
@@ -74,18 +83,44 @@ let mode_name = function
 
 (* ----------------------------- persistence ---------------------------- *)
 
-let serve_snapshot_kind = "serve-state"
+(* The state directory:
 
-(* The payload embeds engine images — the resident state and every memo
-   entry — which {!I.thaw} decodes with no version check of its own, so
-   the engine's schema version is part of this one: bumping either the
-   serve layout or {!C.Engine.snapshot_version} invalidates [serve.snap]. *)
-let serve_layout_version = 1
+     DIR/serve.snap           the manifest: small, published last
+     DIR/states/<md5>.entry   one frozen solved state per file, write-once
+     DIR/journal.jsonl        every response, in order
+
+   Every solved state the daemon keeps — the resident one and each memo
+   entry — is frozen once ({!I.freeze}) and written once, as a
+   {!C.Snapshot} blob named by the MD5 of its bytes.  Memo entries never
+   change once made, so a snapshot writes only the entries no earlier
+   one wrote: a memo hit writes nothing but the manifest.  The manifest
+   names the resident entry with its generation, and the memo keys with
+   their entries, most recently used first.  It is published by atomic
+   rename once every entry it names is on disk, and only then are the
+   entries it no longer names unlinked — so a crash at any point leaves
+   the previous manifest with all of its entries, plus at most orphan
+   entries and tmp files, which the next {!create} sweeps. *)
+
+let serve_snapshot_kind = "serve-state"
+let serve_entry_kind = "serve-entry"
+
+(* State entries are engine images, which {!I.thaw} decodes with no
+   version check of its own, so the engine's schema version is part of
+   this one: bumping either the serve layout or
+   {!C.Engine.snapshot_version} invalidates the manifest and every entry.
+   Layout 2 is the manifest + [states/] split; a layout-1 [serve.snap]
+   (the whole state in one file) is rejected and cold-started. *)
+let serve_layout_version = 2
 
 let snapshot_version ~engine = (serve_layout_version * 1000) + engine
 let serve_snapshot_version = snapshot_version ~engine:C.Engine.snapshot_version
 let snap_path dir = Filename.concat dir "serve.snap"
 let journal_path dir = Filename.concat dir "journal.jsonl"
+let states_dir dir = Filename.concat dir "states"
+let entry_suffix = ".entry"
+
+let entry_path dir digest =
+  Filename.concat (states_dir dir) (digest ^ entry_suffix)
 
 let digest_line line = Digest.to_hex (Digest.string (String.trim line))
 
@@ -99,33 +134,108 @@ let config_fingerprint cfg =
          (String.concat "," cfg.sv_roots))
     ~source:""
 
-type serve_frozen = {
-  sp_state : string option;  (** {!I.freeze} of the resident state *)
-  sp_memo : (string * string) list;
-  sp_config_fp : string;
+type manifest = {
+  mf_config_fp : string;
+  mf_resident : (string * int) option;  (** entry digest, generation *)
+  mf_memo : (string * string) list;
+      (** memo key, entry digest; most recently used first *)
 }
+
+let manifest_entries m =
+  Option.to_list (Option.map fst m.mf_resident) @ List.map snd m.mf_memo
+
+(* An entry's name, computed once per frozen string: the bytes a memo hit
+   re-adds, or a resident state shares with its memo entry, are the very
+   string already digested, so a physical-equality lookup finds it. *)
+let entry_digest t bytes =
+  match List.find_opt (fun (b, _) -> b == bytes) t.digests with
+  | Some (_, d) -> d
+  | None ->
+      let d = Digest.to_hex (Digest.string bytes) in
+      t.digests <- (bytes, d) :: t.digests;
+      d
+
+let log_error t what e =
+  t.cfg.sv_log (Printf.sprintf "serve %s failed: %s" what e)
+
+(* After a manifest naming exactly [keep] is published: unlink every
+   other entry this daemon wrote, plus the previous daemon's ones.  An
+   unlink that fails is retried after the next publish. *)
+let unlink_unnamed t dir ~keep =
+  let doomed =
+    List.sort_uniq String.compare
+      (List.filter (fun d -> not (List.mem d keep)) (t.on_disk @ t.stale))
+  in
+  t.on_disk <- List.filter (fun d -> List.mem d keep) t.on_disk;
+  t.stale <-
+    List.filter
+      (fun d ->
+        match C.Io.unlink (entry_path dir d) with
+        | Ok () -> false
+        | Error e ->
+            log_error t "state entry unlink" (C.Io.error_message e);
+            true)
+      doomed
 
 let write_snapshot t =
   match t.cfg.sv_state_dir with
   | None -> ()
   | Some dir ->
-      let payload =
-        Marshal.to_string
-          {
-            sp_state = Option.map I.freeze t.st;
-            sp_memo = I.Memo.entries t.memo;
-            sp_config_fp = config_fingerprint t.cfg;
-          }
-          []
+      let resident =
+        match (t.st, t.resident_bytes) with
+        | Some st, Some bytes ->
+            Some (bytes, entry_digest t bytes, st.I.generation)
+        | _ -> None
       in
-      (match
-         C.Snapshot.write ~path:(snap_path dir) ~kind:serve_snapshot_kind
-           ~version:serve_snapshot_version payload
-       with
-      | Ok () -> ()
-      | Error e ->
-          t.cfg.sv_log
-            ("serve snapshot write failed: " ^ C.Snapshot.error_message e));
+      let memo =
+        List.map
+          (fun (key, bytes) -> (key, bytes, entry_digest t bytes))
+          (I.Memo.entries t.memo)
+      in
+      let named =
+        (match resident with Some (b, d, _) -> [ (b, d) ] | None -> [])
+        @ List.map (fun (_, b, d) -> (b, d)) memo
+      in
+      (* every entry the manifest names is on disk before it is
+         published; a failed entry write keeps the previous manifest
+         (and the journal) as the recovery point *)
+      let entries_written =
+        List.for_all
+          (fun (bytes, d) ->
+            List.mem d t.on_disk
+            ||
+            match
+              C.Snapshot.write ~path:(entry_path dir d) ~kind:serve_entry_kind
+                ~version:serve_snapshot_version bytes
+            with
+            | Ok () ->
+                t.on_disk <- d :: t.on_disk;
+                true
+            | Error e ->
+                log_error t "state entry write" (C.Snapshot.error_message e);
+                false)
+          named
+      in
+      (if entries_written then
+         let manifest =
+           {
+             mf_config_fp = config_fingerprint t.cfg;
+             mf_resident = Option.map (fun (_, d, g) -> (d, g)) resident;
+             mf_memo = List.map (fun (k, _, d) -> (k, d)) memo;
+           }
+         in
+         match
+           C.Snapshot.write ~path:(snap_path dir) ~kind:serve_snapshot_kind
+             ~version:serve_snapshot_version
+             (Marshal.to_string manifest [])
+         with
+         | Ok () -> unlink_unnamed t dir ~keep:(manifest_entries manifest)
+         | Error e ->
+             log_error t "snapshot write" (C.Snapshot.error_message e));
+      t.digests <-
+        List.filter
+          (fun (b, _) -> List.exists (fun (b', _) -> b == b') named)
+          t.digests;
       t.since_snapshot <- 0
 
 let maybe_snapshot t =
@@ -266,6 +376,26 @@ let profile_json t (st : I.state) =
 
 (* ------------------------------ dispatch ------------------------------ *)
 
+(** Make a candidate resident.  Every mutating outcome memoizes its own
+    state, so the resident entry's bytes are taken from its memo add —
+    never frozen a second time. *)
+let commit_outcome t (o : I.outcome) =
+  let st = o.I.o_state in
+  t.st <- Some st;
+  List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
+  if t.cfg.sv_state_dir <> None then begin
+    let key =
+      I.memo_key ~config:t.cfg.sv_config ~mode:t.cfg.sv_mode ~roots:st.I.roots
+        ~source:st.I.source
+    in
+    t.resident_bytes <-
+      Some
+        (match List.assoc_opt key o.I.o_memo_adds with
+        | Some bytes -> bytes
+        | None -> I.freeze st)
+  end;
+  t.since_snapshot <- t.since_snapshot + 1
+
 (** Run [f] under the facade's exception boundary: the serve counterpart
     of the CLI's "no exception crosses" guarantee. *)
 let protected f =
@@ -294,11 +424,7 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
       | Some s -> o.I.o_state.I.generation > s.I.generation
       | None -> true
     in
-    if mutated then begin
-      t.st <- Some o.I.o_state;
-      List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
-      t.since_snapshot <- t.since_snapshot + 1
-    end;
+    if mutated then commit_outcome t o;
     (summary_json t ~wall_us:(wall_us ()) o, mutated)
   in
   match env.P.req with
@@ -454,6 +580,102 @@ let handle_line t line =
 
 (* ------------------------------ lifecycle ----------------------------- *)
 
+(** The published manifest: [Ok None] when there is none yet, [Error]
+    with the warning to log when it cannot be trusted. *)
+let read_manifest dir =
+  match
+    C.Snapshot.read ~path:(snap_path dir) ~kind:serve_snapshot_kind
+      ~version:serve_snapshot_version
+  with
+  | Error (C.Snapshot.Io _) -> Ok None
+  | Error e ->
+      Error
+        ("serve snapshot rejected ("
+        ^ C.Snapshot.error_message e
+        ^ "); falling back to a cold start")
+  | Ok payload -> (
+      match (Marshal.from_string payload 0 : manifest) with
+      | exception _ -> Error "serve snapshot payload undecodable; cold start"
+      | m -> Ok (Some m))
+
+(** A state entry's bytes, checked against the digest that names them. *)
+let read_entry dir d =
+  let path = entry_path dir d in
+  match
+    C.Snapshot.read ~path ~kind:serve_entry_kind ~version:serve_snapshot_version
+  with
+  | Error e -> Error (C.Snapshot.error_message e)
+  | Ok bytes ->
+      if String.equal (Digest.to_hex (Digest.string bytes)) d then Ok bytes
+      else Error (path ^ ": content does not match its name")
+
+let restore t dir m =
+  let log = t.cfg.sv_log in
+  if not (String.equal m.mf_config_fp (config_fingerprint t.cfg)) then
+    log "serve snapshot was written under a different configuration; cold start"
+  else
+    match m.mf_resident with
+    | None -> ()
+    | Some (d, generation) -> (
+        match read_entry dir d with
+        | Error msg ->
+            log ("resident state entry rejected (" ^ msg ^ "); cold start")
+        | Ok bytes -> (
+            match I.thaw bytes with
+            | Error msg ->
+                log ("resident state undecodable (" ^ msg ^ "); cold start")
+            | Ok st when C.Verify.run st.I.engine <> [] ->
+                log "restored engine failed verification; cold start"
+            | Ok st ->
+                t.st <- Some { st with I.generation };
+                t.resident_bytes <- Some bytes;
+                t.on_disk <- [ d ];
+                t.digests <- [ (bytes, d) ];
+                (* oldest first, so re-adding restores the LRU order; an
+                   entry that cannot be read drops out of the memo, which
+                   costs a recomputation, never correctness *)
+                List.iter
+                  (fun (key, d) ->
+                    let bytes =
+                      match List.find_opt (fun (_, d') -> d' = d) t.digests with
+                      | Some (b, _) -> Ok b
+                      | None -> read_entry dir d
+                    in
+                    match bytes with
+                    | Ok bytes ->
+                        if not (List.mem d t.on_disk) then begin
+                          t.on_disk <- d :: t.on_disk;
+                          t.digests <- (bytes, d) :: t.digests
+                        end;
+                        I.Memo.add t.memo (key, bytes)
+                    | Error msg -> log ("memo entry dropped (" ^ msg ^ ")"))
+                  (List.rev m.mf_memo)))
+
+(** Unlink what no manifest names: entries a crashed daemon wrote but
+    never published, entries whose post-publish unlink never ran,
+    entries rejected on restore, and the tmp files of interrupted atomic
+    writes.  One daemon owns a state directory, so no live writer can
+    own a tmp file at this point. *)
+let sweep t dir =
+  let keep = List.map (fun d -> d ^ entry_suffix) (t.on_disk @ t.stale) in
+  let sweep_dir d doomed =
+    match Sys.readdir d with
+    | exception Sys_error _ -> ()
+    | names ->
+        Array.sort String.compare names;
+        Array.iter
+          (fun name ->
+            if doomed name then
+              match C.Io.unlink (Filename.concat d name) with
+              | Ok () -> ()
+              | Error e -> log_error t "sweep" (C.Io.error_message e))
+          names
+  in
+  (* [states/] holds nothing but entries and their tmp files *)
+  sweep_dir (states_dir dir) (fun name -> not (List.mem name keep));
+  let manifest_tmp = Filename.basename (snap_path dir) ^ ".tmp." in
+  sweep_dir dir (String.starts_with ~prefix:manifest_tmp)
+
 let create ?initial ~resume cfg =
   let t =
     {
@@ -467,56 +689,28 @@ let create ?initial ~resume cfg =
       finalized = false;
       served = 0;
       mem_shed = 0;
+      resident_bytes = None;
+      on_disk = [];
+      stale = [];
+      digests = [];
     }
   in
-  Option.iter (fun dir -> ignore (C.Io.mkdir_p dir)) cfg.sv_state_dir;
-  (* warm start: snapshot (guarded by CRC, schema version, configuration
-     fingerprint, and the Verify certifier — any suspicion falls back to
-     a cold start with a warning) plus the journal for replay *)
-  if resume then
-    Option.iter
-      (fun dir ->
-        (match
-           C.Snapshot.read ~path:(snap_path dir) ~kind:serve_snapshot_kind
-             ~version:serve_snapshot_version
-         with
-        | Error (C.Snapshot.Io _) -> () (* no snapshot yet *)
-        | Error e ->
-            cfg.sv_log
-              ("serve snapshot rejected ("
-              ^ C.Snapshot.error_message e
-              ^ "); falling back to a cold start")
-        | Ok payload -> (
-            match (Marshal.from_string payload 0 : serve_frozen) with
-            | exception _ ->
-                cfg.sv_log "serve snapshot payload undecodable; cold start"
-            | sf ->
-                if not (String.equal sf.sp_config_fp (config_fingerprint cfg))
-                then
-                  cfg.sv_log
-                    "serve snapshot was written under a different \
-                     configuration; cold start"
-                else begin
-                  (match sf.sp_state with
-                  | None -> ()
-                  | Some bytes -> (
-                      match I.thaw bytes with
-                      | Error msg ->
-                          cfg.sv_log
-                            ("resident state undecodable (" ^ msg
-                           ^ "); cold start")
-                      | Ok st ->
-                          if C.Verify.run st.I.engine = [] then t.st <- Some st
-                          else
-                            cfg.sv_log
-                              "restored engine failed verification; cold \
-                               start"));
-                  if t.st <> None then
-                    (* oldest first, so re-adding restores the LRU order *)
-                    List.iter (I.Memo.add t.memo) (List.rev sf.sp_memo)
-                end));
-        t.replay <- read_journal (journal_path dir))
-      cfg.sv_state_dir;
+  Option.iter
+    (fun dir ->
+      ignore (C.Io.mkdir_p (states_dir dir));
+      (* warm start: the manifest (guarded by CRC, schema version and the
+         configuration fingerprint), the resident entry (CRC, version, its
+         digest, and the Verify certifier) and the memo entries — any
+         suspicion of the resident entry falls back to a cold start with
+         a warning; a bad memo entry just drops out of the memo *)
+      (match read_manifest dir with
+      | Error msg -> if resume then cfg.sv_log msg
+      | Ok None -> ()
+      | Ok (Some m) ->
+          if resume then restore t dir m else t.stale <- manifest_entries m);
+      if resume then t.replay <- read_journal (journal_path dir);
+      sweep t dir)
+    cfg.sv_state_dir;
   let initial_result =
     if t.st <> None then Ok () (* the snapshot wins over [initial] *)
     else
@@ -544,9 +738,7 @@ let create ?initial ~resume cfg =
               with
               | Error err -> Error (P.error_message err)
               | Ok o ->
-                  t.st <- Some o.I.o_state;
-                  List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
-                  t.since_snapshot <- t.since_snapshot + 1;
+                  commit_outcome t o;
                   Ok ()))
   in
   match initial_result with

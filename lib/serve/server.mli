@@ -10,7 +10,9 @@
     trip rolls the resident state back by construction.  Every response
     is appended to a journal (with the request digest and the resulting
     generation) before it is returned, and the resident state plus memo
-    are snapshotted atomically every [snapshot_every] mutations — a
+    are snapshotted every [snapshot_every] mutations — each solved state
+    written once, as its own content-named entry under [DIR/states/],
+    then a small manifest naming them published by atomic rename — so a
     [kill -9] at any point loses at most the in-flight request, and a
     restart with [resume:true] re-emits journaled responses byte for
     byte while re-executing post-snapshot mutations to catch the
@@ -52,10 +54,13 @@ val create : ?initial:Api.source -> resume:bool -> cfg -> (t, string) result
 (** Start a daemon.  [initial] loads and fully solves a program before
     serving (its errors fail creation — the CLI contract).  With
     [resume:true] and a state dir, the last snapshot is restored (config
-    fingerprint, container CRC, schema version and the {!C.Verify}
-    certifier all guard it; any suspicion falls back to a cold start
-    with a logged warning, never a refusal) and the journal is loaded
-    for replay.  A resumed daemon prefers the snapshot over [initial]. *)
+    fingerprint, container CRCs, schema versions, entry digests and the
+    {!C.Verify} certifier all guard it; any suspicion of the manifest or
+    the resident entry falls back to a cold start with a logged warning,
+    never a refusal, and a bad memo entry is logged and left out of the
+    memo) and the journal is loaded for replay.  A resumed daemon
+    prefers the snapshot over [initial].  With a state dir, entries no
+    manifest names and tmp files of interrupted writes are swept. *)
 
 val handle_line : t -> string -> string list
 (** Process one request line to completion: parse, replay-match,
@@ -72,8 +77,8 @@ val finalize : t -> unit
 (** Final snapshot, journal flush and close.  Idempotent. *)
 
 val snapshot_version : engine:int -> int
-(** The [serve.snap] container version for a given engine schema
-    version.  The snapshot embeds engine images, so the file version
-    derives from {!C.Engine.snapshot_version}: a daemon only restores
-    [snapshot_version ~engine:C.Engine.snapshot_version], and a stale
-    file is logged and cold-started. *)
+(** The container version of the [serve.snap] manifest and of every
+    state entry, for a given engine schema version.  Entries are engine
+    images, so the version derives from {!C.Engine.snapshot_version}: a
+    daemon only restores [snapshot_version ~engine:C.Engine.snapshot_version],
+    and a stale manifest or resident entry is logged and cold-started. *)

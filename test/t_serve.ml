@@ -552,6 +552,202 @@ let test_stale_engine_version_cold_start () =
       let j = one_response (Sv.handle_line srv2 (edit_req 2 base_src)) in
       Alcotest.(check bool) "cold-started daemon serves" true (bool_member "ok" j))
 
+(* ------------------------ the state directory -------------------------- *)
+
+let states_of dir =
+  List.sort String.compare
+    (Array.to_list (Sys.readdir (Filename.concat dir "states")))
+
+let state_cfg ?(log = fun _ -> ()) dir =
+  { quiet_cfg with Sv.sv_state_dir = Some dir; sv_log = log }
+
+let strategy_of j =
+  match K.Json.member "result" j with
+  | Some r -> str_member "strategy" r
+  | None -> Alcotest.failf "response has no result"
+
+let whole_file_writes () = (C.Io.stats ()).C.Io.writes
+
+let overwrite path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* Solved states are written once: a memo hit names entries already on
+   disk, so it writes the manifest and nothing else, and a resident
+   re-send is not a mutation, so it writes nothing at all. *)
+let test_memo_hit_writes_no_entry () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      ignore (run_all srv [ edit_req 1 base_src; edit_req 2 dead_edit ]);
+      let before = states_of dir in
+      Alcotest.(check int) "one entry per solved state" 2 (List.length before);
+      let w0 = whole_file_writes () in
+      let j = one_response (Sv.handle_line srv (edit_req 3 base_src)) in
+      Alcotest.(check string) "revert is a memo hit" "memo" (strategy_of j);
+      Alcotest.(check (list string)) "memo hit added no entry" before (states_of dir);
+      Alcotest.(check int) "memo hit wrote only the manifest" 1
+        (whole_file_writes () - w0);
+      let w1 = whole_file_writes () in
+      let j = one_response (Sv.handle_line srv (edit_req 4 base_src)) in
+      Alcotest.(check string) "re-send is resident" "resident" (strategy_of j);
+      Alcotest.(check (list string)) "resident re-send added no entry" before
+        (states_of dir);
+      Alcotest.(check int) "resident re-send wrote nothing" 0
+        (whole_file_writes () - w1))
+
+(* [edits] dead-body edits of [base_src], each a new solved state *)
+let dead_edits srv edits =
+  for k = 1 to edits do
+    let source =
+      replace ~sub:"return 2" ~by:(Printf.sprintf "return %d" (100 + k)) base_src
+    in
+    let j = one_response (Sv.handle_line srv (edit_req k source)) in
+    Alcotest.(check string) "dead-body edit reuses" "reuse" (strategy_of j)
+  done
+
+(* The manifest names entries by digest and holds no state bytes, so it
+   stays small however many entries the memo holds; [states/] holds
+   exactly the memo's entries (the resident one among them), so entries
+   the memo evicts are unlinked. *)
+let test_manifest_stays_small () =
+  with_state_dir (fun dir ->
+      let srv =
+        create_exn ~resume:false { (state_cfg dir) with Sv.sv_memo_entries = 2 }
+      in
+      ignore (run_all srv [ edit_req 0 base_src ]);
+      dead_edits srv 5;
+      Alcotest.(check int) "evicted entries unlinked" 2
+        (List.length (states_of dir)));
+  with_state_dir (fun dir ->
+      let edits = 40 in
+      let srv =
+        create_exn ~resume:false
+          { (state_cfg dir) with Sv.sv_memo_entries = edits + 8 }
+      in
+      ignore (run_all srv [ edit_req 0 base_src ]);
+      dead_edits srv edits;
+      let snap = Filename.concat dir "serve.snap" in
+      let size = (Unix.stat snap).Unix.st_size in
+      if size >= 64 * 1024 then Alcotest.failf "serve.snap is %d bytes" size;
+      Alcotest.(check int) "one entry per memoized state" (edits + 1)
+        (List.length (states_of dir));
+      (* a key and a digest per entry, 32 hex digits each, plus framing *)
+      if size > 128 * (edits + 2) then
+        Alcotest.failf "serve.snap is %d bytes for %d entries" size (edits + 1))
+
+(* A session whose resident state is [live_edit] and whose memo also
+   holds [base_src]; returns the entry names of each. *)
+let two_state_session dir =
+  let srv = create_exn ~resume:false (state_cfg dir) in
+  ignore (run_all srv [ edit_req 1 base_src ]);
+  let base_entry = List.hd (states_of dir) in
+  ignore (run_all srv [ edit_req 2 live_edit ]);
+  Sv.finalize srv;
+  let live_entry =
+    List.hd (List.filter (fun n -> n <> base_entry) (states_of dir))
+  in
+  Sys.remove (Filename.concat dir "journal.jsonl");
+  (Filename.concat (Filename.concat dir "states") base_entry,
+   Filename.concat (Filename.concat dir "states") live_entry)
+
+let check_fresh label srv ~source =
+  match Sv.state srv with
+  | None -> Alcotest.failf "%s: no resident state" label
+  | Some st -> (
+      match I.same_fixed_point st.I.engine (fresh_engine ~source ~roots:[]) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: diverged from a fresh solve: %s" label msg)
+
+(* On resume, a damaged or missing memo entry is logged and drops out of
+   the memo (the resident state survives); a damaged or missing resident
+   entry is logged and cold-starts the daemon, which then serves the
+   fresh fixed point. *)
+let test_damaged_entry_on_resume () =
+  with_state_dir (fun dir ->
+      let base_entry, _ = two_state_session dir in
+      overwrite base_entry "torn";
+      let logged = ref [] in
+      let srv = create_exn ~resume:true (state_cfg ~log:(fun m -> logged := m :: !logged) dir) in
+      Alcotest.(check bool) "memo entry damage was logged" true (!logged <> []);
+      Alcotest.(check int) "resident state restored" 2 (Sv.generation srv);
+      Alcotest.(check bool) "damaged entry swept" false (Sys.file_exists base_entry);
+      let j = one_response (Sv.handle_line srv (edit_req 3 base_src)) in
+      Alcotest.(check string) "dropped memo entry is recomputed" "full" (strategy_of j);
+      check_fresh "after a dropped memo entry" srv ~source:base_src);
+  List.iter
+    (fun (label, damage) ->
+      with_state_dir (fun dir ->
+          let _, live_entry = two_state_session dir in
+          damage live_entry;
+          let logged = ref [] in
+          let srv =
+            create_exn ~resume:true (state_cfg ~log:(fun m -> logged := m :: !logged) dir)
+          in
+          Alcotest.(check bool) (label ^ ": logged") true (!logged <> []);
+          Alcotest.(check bool) (label ^ ": cold start") true (Sv.state srv = None);
+          let j = one_response (Sv.handle_line srv (edit_req 3 live_edit)) in
+          Alcotest.(check bool) (label ^ ": serves") true (bool_member "ok" j);
+          check_fresh label srv ~source:live_edit))
+    [ ("corrupt resident entry", fun path -> overwrite path "torn");
+      ("missing resident entry", Sys.remove);
+    ]
+
+(* What a crash between an entry write and the manifest publish (or
+   between the publish and its unlinks) leaves behind — entries no
+   manifest names and tmp files of interrupted atomic writes — is swept
+   when the next daemon starts; the entries the manifest names stay. *)
+let test_orphans_swept_at_create () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      ignore (run_all srv [ edit_req 1 base_src ]);
+      Sv.finalize srv;
+      let named = states_of dir in
+      let states = Filename.concat dir "states" in
+      let junk =
+        [ Filename.concat states (String.make 32 'a' ^ ".entry");
+          Filename.concat states (List.hd named ^ ".tmp.4242");
+          Filename.concat dir "serve.snap.tmp.4242";
+        ]
+      in
+      List.iter (fun p -> overwrite p "left by a crashed writer") junk;
+      let srv = create_exn ~resume:true (state_cfg dir) in
+      List.iter
+        (fun p -> Alcotest.(check bool) (p ^ " swept") false (Sys.file_exists p))
+        junk;
+      Alcotest.(check (list string)) "named entries kept" named (states_of dir);
+      Alcotest.(check int) "resident state restored" 1 (Sv.generation srv))
+
+(* Entries are engine images too: one written under the previous engine
+   schema is refused at its container (logged, cold start), never
+   unmarshaled into the current engine's layout. *)
+let test_stale_entry_rejected () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      ignore (run_all srv [ edit_req 1 base_src ]);
+      Sv.finalize srv;
+      Sys.remove (Filename.concat dir "journal.jsonl");
+      let entry = Filename.concat (Filename.concat dir "states") (List.hd (states_of dir)) in
+      let current = Sv.snapshot_version ~engine:C.Engine.snapshot_version in
+      let stale = Sv.snapshot_version ~engine:(C.Engine.snapshot_version - 1) in
+      let payload =
+        match C.Snapshot.read ~path:entry ~kind:"serve-entry" ~version:current with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "fresh entry unreadable: %s" (C.Snapshot.error_message e)
+      in
+      (match C.Snapshot.write ~path:entry ~kind:"serve-entry" ~version:stale payload with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "cannot rewrite entry: %s" (C.Snapshot.error_message e));
+      let logged = ref [] in
+      let srv = create_exn ~resume:true (state_cfg ~log:(fun m -> logged := m :: !logged) dir) in
+      let mentions sub msg = replace ~sub ~by:"" msg <> msg in
+      let why = Printf.sprintf "unsupported schema version %d" stale in
+      Alcotest.(check bool) "stale entry rejection was logged" true
+        (List.exists (mentions why) !logged);
+      Alcotest.(check bool) "cold start" true (Sv.state srv = None);
+      let j = one_response (Sv.handle_line srv (edit_req 2 base_src)) in
+      Alcotest.(check bool) "cold-started daemon serves" true (bool_member "ok" j))
+
 let suite =
   ( "serve",
     [
@@ -576,4 +772,15 @@ let suite =
         test_corrupt_snapshot_cold_start;
       Alcotest.test_case "stale engine version falls back to a cold start"
         `Quick test_stale_engine_version_cold_start;
+      Alcotest.test_case "memo hit and resident re-send write no entry" `Quick
+        test_memo_hit_writes_no_entry;
+      Alcotest.test_case "manifest stays small, states/ holds what it names"
+        `Quick
+        test_manifest_stays_small;
+      Alcotest.test_case "damaged entry on resume: dropped or cold start"
+        `Quick test_damaged_entry_on_resume;
+      Alcotest.test_case "orphan entries and tmp files swept at create"
+        `Quick test_orphans_swept_at_create;
+      Alcotest.test_case "entry from the previous engine version rejected"
+        `Quick test_stale_entry_rejected;
     ] )

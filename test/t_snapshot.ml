@@ -348,6 +348,30 @@ let test_bad_payload_reported () =
             (C.Snapshot.error_message e)
       | Ok _ -> Alcotest.fail "garbage payload decoded")
 
+(* The sliced CRC-32 must be the IEEE 802.3 CRC: the standard check
+   value, and on every length (each residue of the 8-byte main loop and
+   the bytewise tail) the result of the textbook bytewise algorithm. *)
+let test_crc32_matches_bytewise () =
+  Alcotest.(check int) "check value" 0xCBF43926 (C.Snapshot.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (C.Snapshot.crc32 "");
+  let reference s =
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch ->
+        c := !c lxor Char.code ch;
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done)
+      s;
+    !c lxor 0xFFFFFFFF
+  in
+  let rng = Random.State.make [| 32 |] in
+  for len = 0 to 4099 do
+    let s = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+    if C.Snapshot.crc32 s <> reference s then
+      Alcotest.failf "crc32 differs from the bytewise reference at length %d" len
+  done
+
 let suite =
   ( "snapshot",
     [
@@ -364,4 +388,6 @@ let suite =
         test_pre_product_snapshot_rejected;
       Alcotest.test_case "undecodable payload is a reported error" `Quick
         test_bad_payload_reported;
+      Alcotest.test_case "crc32 equals the bytewise reference" `Quick
+        test_crc32_matches_bytewise;
     ] )
