@@ -198,26 +198,14 @@ let analyze_summary_json ~file ~config ~mode ~timings (s : Api.summary) =
       ("schema_version", K.Json.Int K.Json.current_schema_version);
       ("file", K.Json.Str (Filename.basename file));
       ("analysis", K.Json.Str (C.Config.name config));
-      ( "engine",
-        K.Json.Str (match mode with C.Engine.Dedup -> "dedup" | C.Engine.Reference -> "ref") );
+      ("engine", K.Json.Str (C.Engine.mode_name mode));
       ("degraded", K.Json.Bool m.C.Metrics.degraded);
       ( "outcome",
         K.Json.Str
           (match s.Api.outcome with
           | C.Engine.Completed -> "completed"
           | C.Engine.Paused _ -> "paused") );
-      ( "metrics",
-        K.Json.Obj
-          [ ("reachable_methods", K.Json.Int m.C.Metrics.reachable_methods);
-            ("type_checks", K.Json.Int m.C.Metrics.type_checks);
-            ("null_checks", K.Json.Int m.C.Metrics.null_checks);
-            ("prim_checks", K.Json.Int m.C.Metrics.prim_checks);
-            ("poly_calls", K.Json.Int m.C.Metrics.poly_calls);
-            ("mono_calls", K.Json.Int m.C.Metrics.mono_calls);
-            ("binary_size", K.Json.Int m.C.Metrics.binary_size);
-            ("flows", K.Json.Int m.C.Metrics.flows);
-            ("instantiated_types", K.Json.Int m.C.Metrics.instantiated_types);
-          ] );
+      ("metrics", S.Protocol.metrics_json m);
     ]
     @
     (* timings, phases and counters are run-dependent; dropping them
@@ -973,9 +961,8 @@ let batch_cmd =
        across batches with different --root / --engine never serves one
        run's results to the other *)
     let cache_scope =
-      Printf.sprintf "roots=%s;mode=%s"
-        (String.concat "," roots)
-        (match mode with C.Engine.Dedup -> "dedup" | C.Engine.Reference -> "ref")
+      Printf.sprintf "roots=%s;mode=%s" (String.concat "," roots)
+        (C.Engine.mode_name mode)
     in
     let cache_lookup path =
       match cache with

@@ -92,8 +92,4 @@ let roots_by_name (prog : Program.t) names =
   in
   go [] names
 
-let reachable_names (r : result) =
-  List.map
-    (fun (m : Program.meth) ->
-      Program.qualified_name (Engine.prog_of r.engine) m.Program.m_id)
-    (Engine.reachable_methods r.engine)
+let reachable_names (r : result) = Engine.reachable_names r.engine

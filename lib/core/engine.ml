@@ -37,6 +37,8 @@ open Skipflow_ir
     emit) kept for differential testing and perf baselines. *)
 type mode = Dedup | Reference
 
+let mode_name = function Dedup -> "dedup" | Reference -> "ref"
+
 (** Reference-mode tasks — the original engine's boxed queue entries. *)
 type rtask =
   | REnable of Flow.t
@@ -1089,6 +1091,11 @@ let roots t = t.roots
 let is_reachable t (m : Ids.Meth.t) = Ids.Meth.Tbl.mem t.graphs m
 
 let reachable_methods t = List.rev t.reachable_order
+
+let reachable_names t =
+  List.map
+    (fun (m : Program.meth) -> Program.qualified_name t.prog m.Program.m_id)
+    (reachable_methods t)
 
 let reachable_count t = Ids.Meth.Tbl.length t.graphs
 

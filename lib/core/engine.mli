@@ -22,6 +22,10 @@
     baseline.  Both modes reach bit-identical fixed points. *)
 type mode = Dedup | Reference
 
+val mode_name : mode -> string
+(** ["dedup" | "ref"]: the CLI's [--engine] spelling, also used in
+    JSON output and cache scopes. *)
+
 (** How {!run} ended.  [Paused payload] is returned only in
     pause-on-budget mode: the engine stopped at a task boundary and
     [payload] is its complete serialized state — feed it to
@@ -170,6 +174,9 @@ val is_reachable : t -> Skipflow_ir.Ids.Meth.t -> bool
 
 val reachable_methods : t -> Skipflow_ir.Program.meth list
 (** In discovery order. *)
+
+val reachable_names : t -> string list
+(** {!reachable_methods} as qualified names, in discovery order. *)
 
 val reachable_count : t -> int
 

@@ -182,3 +182,60 @@ let run (engine : Engine.t) : violation list =
         g.Graph.g_flows)
     (Engine.graphs engine);
   List.rev !violations
+
+(** [same_fixed_point a b] is flow-by-flow equality of two solved engines,
+    over one program or two identically shaped compiles of it: equal
+    reachable qualified-name sets, and per method equal flow counts,
+    kinds, enabled bits and value states ([state] and [raw]).  Methods
+    are matched by qualified name and, within a method, flows by
+    position — per-method flow lists are in construction order, which is
+    deterministic for a given body.  [Error] names the first difference.
+    This is the equality oracle of the dedup/reference differential, of
+    pause/resume, and of incremental-versus-fresh serving. *)
+let same_fixed_point (a : Engine.t) (b : Engine.t) : (unit, string) result =
+  let sa = List.sort String.compare (Engine.reachable_names a)
+  and sb = List.sort String.compare (Engine.reachable_names b) in
+  if sa <> sb then
+    Error
+      (Printf.sprintf "reachable sets differ (%d vs %d methods)"
+         (List.length sa) (List.length sb))
+  else begin
+    let prog_b = Engine.prog_of b in
+    let by_name = Hashtbl.create 64 in
+    List.iter
+      (fun (g : Graph.method_graph) ->
+        Hashtbl.replace by_name
+          (Program.qualified_name prog_b g.Graph.g_meth.Program.m_id)
+          g)
+      (Engine.graphs b);
+    let prog_a = Engine.prog_of a in
+    let err = ref None in
+    let fail fmt =
+      Format.kasprintf (fun m -> if !err = None then err := Some m) fmt
+    in
+    List.iter
+      (fun (ga : Graph.method_graph) ->
+        let name = Program.qualified_name prog_a ga.Graph.g_meth.Program.m_id in
+        match Hashtbl.find_opt by_name name with
+        | None -> fail "%s: no counterpart graph" name
+        | Some gb ->
+            let fa = ga.Graph.g_flows and fb = gb.Graph.g_flows in
+            if List.length fa <> List.length fb then
+              fail "%s: %d vs %d flows" name (List.length fa) (List.length fb)
+            else
+              List.iteri
+                (fun i ((x : Flow.t), (y : Flow.t)) ->
+                  if Flow.kind_name x <> Flow.kind_name y then
+                    fail "%s: flow %d kind %s vs %s" name i (Flow.kind_name x)
+                      (Flow.kind_name y)
+                  else if x.Flow.enabled <> y.Flow.enabled then
+                    fail "%s: flow %d enabled bit differs" name i
+                  else if not (Vstate.equal x.Flow.state y.Flow.state) then
+                    fail "%s: flow %d value state differs: %a vs %a" name i
+                      Vstate.pp x.Flow.state Vstate.pp y.Flow.state
+                  else if not (Vstate.equal x.Flow.raw y.Flow.raw) then
+                    fail "%s: flow %d raw state differs" name i)
+                (List.combine fa fb))
+      (Engine.graphs a);
+    match !err with None -> Ok () | Some m -> Error m
+  end

@@ -585,7 +585,7 @@ let serve_seed seed =
                   (match (Sv.state resumed_srv, Sv.state straight_srv) with
                   | Some a, Some b -> (
                       match
-                        Incr.same_fixed_point a.Incr.engine b.Incr.engine
+                        C.Verify.same_fixed_point a.Incr.engine b.Incr.engine
                       with
                       | Ok () -> probe ()
                       | Error msg ->
@@ -675,7 +675,7 @@ let serve_seed seed =
                                   (* straight_srv's last edit was [base]
                                      too, so the fixed points must agree *)
                                   (match
-                                     Incr.same_fixed_point a.Incr.engine
+                                     C.Verify.same_fixed_point a.Incr.engine
                                        b.Incr.engine
                                    with
                                   | Ok () -> probe ()
@@ -767,7 +767,7 @@ let serve_seed seed =
                               match (Sv.state srv, Sv.state straight_srv) with
                               | Some a, Some b -> (
                                   match
-                                    Incr.same_fixed_point a.Incr.engine
+                                    C.Verify.same_fixed_point a.Incr.engine
                                       b.Incr.engine
                                   with
                                   | Ok () -> probe ()
@@ -1093,7 +1093,7 @@ let chaos_seed seed =
                         match (Sv.state srv, Sv.state straight_srv) with
                         | Some a, Some b -> (
                             match
-                              Incr.same_fixed_point a.Incr.engine b.Incr.engine
+                              C.Verify.same_fixed_point a.Incr.engine b.Incr.engine
                             with
                             | Ok () -> ()
                             | Error msg ->

@@ -1,32 +1,31 @@
 (** Incremental re-analysis for the serve daemon.
 
-    The resident {!state} is a program source, its solved engine at the
-    fixed point, and the content fingerprints an edit is diffed against.
-    The fixed-point solver is monotone — facts are only ever added — so
-    an arbitrary edit cannot be re-solved in place with {e exact}
-    equality to a fresh run (retraction).  Instead, each request is
-    classified into the cheapest strategy whose result is {e provably}
+    The resident {!state} is a program source and its solved engine at
+    the fixed point.  The fixed-point solver is monotone — facts are only
+    ever added — so an arbitrary edit cannot be re-solved in place with
+    {e exact} equality to a fresh run (retraction).  Instead, each request
+    is classified into the cheapest strategy whose result is {e provably}
     the from-scratch fixed point, falling back to a full solve whenever
     the incremental state is suspect:
 
     - {b resident}: the request changes nothing (byte-identical source,
       identical root set) — serve the resident fixed point.
-    - {b reuse}: the class hierarchy fingerprint is unchanged and every
-      edited method is outside the resident reachable set.  The fixed
-      point is generated only from reachable bodies plus the hierarchy,
-      so it is {e exactly} the new program's fixed point (this is the
-      paper's headline effect turned into an incremental win: the more
-      code SkipFlow proves unreachable, the more edits are free).
     - {b redrain}: the root set grew.  {!Skipflow_core.Engine.add_root}
       on a clone of the resident engine re-drains the worklist from the
       new roots' boundary flows only; monotone chaotic iteration from
       the old fixed point — a pre-fixpoint of the grown constraint
       system — reaches the grown system's least fixed point.
-    - {b memo}: the (source, roots, config) content hash — the PR 5
+    - {b memo}: the (source, roots, config) content hash — the
       {!Skipflow_core.Cache.key} machinery — hits the bounded in-memory
       memo of previously solved states (toggling edits, A→B→A).
-    - {b full}: everything else, and any incremental result that fails
-      the {!Skipflow_core.Verify} certifier.
+    - {b full}: everything else — every edit to a source the memo does
+      not hold is compiled once and solved from scratch — and any
+      incremental result that fails the {!Skipflow_core.Verify}
+      certifier.
+
+    A resident state always pairs a source with the engine solved from
+    that very source's compile, so every later request (lint, grown
+    roots) reads the program the client last sent.
 
     All mutating operations build a {e candidate} state on a clone and
     leave the resident state untouched until the candidate is committed
@@ -42,12 +41,6 @@ type state = {
   engine : C.Engine.t;  (** solved, at the fixed point *)
   snapshot : string;  (** {!C.Engine.snapshot_bytes} of [engine] *)
   metrics : C.Metrics.t;
-  reachable : string list;  (** qualified names, discovery order *)
-  meth_hashes : (string * string) list;
-      (** qualified name → body fingerprint, sorted by name, for the
-          {e newest accepted} source (on the reuse path this can be newer
-          than the engine's program — the fixed points coincide) *)
-  hier_hash : string;  (** class-hierarchy fingerprint *)
   generation : int;  (** bumped by every committed mutation *)
 }
 
@@ -55,28 +48,17 @@ type strategy =
   | Resident
   | Memo
   | Reuse
+      (** retired: never produced.  Kept only because the benchmark tool
+          still matches on it; it goes with that match. *)
   | Redrain of int  (** number of roots added *)
   | Full of string  (** why incremental was not applicable *)
 
 val strategy_name : strategy -> string
-(** ["resident" | "memo" | "reuse" | "redrain" | "full"]. *)
+(** ["resident" | "memo" | "redrain" | "full"] (and ["reuse"] for the
+    retired constructor). *)
 
 val strategy_reason : strategy -> string option
 (** The fallback reason, for [Full]. *)
-
-(** {1 Fingerprints} *)
-
-val meth_fingerprints : Skipflow_ir.Program.t -> (string * string) list
-(** Per-method content hashes of the lowered bodies (rendered through
-    {!Skipflow_ir.Ir_pp}, which prints cross-references by name and
-    per-body local ids — stable across recompiles of edited sources),
-    sorted by qualified name. *)
-
-val hierarchy_fingerprint : Skipflow_ir.Program.t -> string
-(** A digest of everything the fixed point depends on {e besides}
-    reachable bodies: class names, supers, abstractness, field and
-    method signatures, and which methods have bodies, in declaration
-    order. *)
 
 (** {1 The memo} *)
 
@@ -148,7 +130,9 @@ val edit :
   state ->
   source:string ->
   (outcome, Protocol.error) result
-(** Classify and apply a source edit: resident / memo / reuse / full.
+(** Classify and apply a source edit: resident / memo / full.  A source
+    the memo does not hold goes straight to {!solve_full}, the only
+    place this module compiles a source.
     [memo] is only read ({!Memo.peek}); the writes — including the
     pre-edit state, so reverting an edit is a hit, with the memo's own
     bytes for it when it has them — come back in [o_memo_adds] for the
@@ -176,13 +160,3 @@ val thaw : string -> (state, string) result
 (** Rebuild a frozen state; the engine is restored from its snapshot
     bytes with an unlimited budget, and the generation is [0] (callers
     set their own).  [Error] on undecodable bytes. *)
-
-(** {1 Equality certification} *)
-
-val same_fixed_point : C.Engine.t -> C.Engine.t -> (unit, string) result
-(** Flow-by-flow equality of two solved engines over possibly distinct
-    (but identically shaped) programs: equal reachable qualified-name
-    sets, and per method equal flow counts, kinds, enabled bits, and
-    value states ([state] and [raw]).  [Error] names the first
-    difference.  This is the oracle the serve tests run between
-    incremental and from-scratch solves. *)

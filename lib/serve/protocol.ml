@@ -158,6 +158,21 @@ let api_error_json e =
       ("error", Json.Obj (api_error_fields e));
     ]
 
+module M = Skipflow_core.Metrics
+
+let metrics_json (m : M.t) =
+  Json.Obj
+    [ ("reachable_methods", Json.Int m.M.reachable_methods);
+      ("type_checks", Json.Int m.M.type_checks);
+      ("null_checks", Json.Int m.M.null_checks);
+      ("prim_checks", Json.Int m.M.prim_checks);
+      ("poly_calls", Json.Int m.M.poly_calls);
+      ("mono_calls", Json.Int m.M.mono_calls);
+      ("binary_size", Json.Int m.M.binary_size);
+      ("flows", Json.Int m.M.flows);
+      ("instantiated_types", Json.Int m.M.instantiated_types);
+    ]
+
 let error_json err =
   let base =
     match err with

@@ -93,6 +93,11 @@ val api_error_json : Api.error -> Skipflow_checks.Json.t
     [{"schema_version", "error": {...}}].  [skipflow analyze --format
     json] prints exactly this. *)
 
+val metrics_json : Skipflow_core.Metrics.t -> Skipflow_checks.Json.t
+(** The ["metrics"] object: the nine Table-1 counts, in a fixed order.
+    Serve responses and [skipflow analyze --format json] both print
+    exactly this. *)
+
 val error_json : error -> Skipflow_checks.Json.t
 (** The serve response's ["error"] member.  {!Overloaded} adds a
     ["retry_after_ms"] field; {!Deadline_exceeded} a ["deadline_ms"]. *)

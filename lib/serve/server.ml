@@ -67,8 +67,8 @@ type t = {
   mutable on_disk : string list;
       (** entry digests this daemon wrote (or read back intact) *)
   mutable stale : string list;
-      (** entries an earlier manifest names that this daemon did not
-          verify: left in place until its own manifest replaces that one *)
+      (** entries a publish stopped naming whose unlink failed: retried
+          after the next publish *)
   mutable digests : (string * string) list;
       (** (frozen bytes, entry digest), matched by physical equality *)
 }
@@ -76,10 +76,6 @@ type t = {
 let generation t = match t.st with Some s -> s.I.generation | None -> 0
 let state t = t.st
 let wants_shutdown t = t.shutdown
-
-let mode_name = function
-  | C.Engine.Dedup -> "dedup"
-  | C.Engine.Reference -> "ref"
 
 (* ----------------------------- persistence ---------------------------- *)
 
@@ -108,9 +104,11 @@ let serve_entry_kind = "serve-entry"
    version check of its own, so the engine's schema version is part of
    this one: bumping either the serve layout or
    {!C.Engine.snapshot_version} invalidates the manifest and every entry.
-   Layout 2 is the manifest + [states/] split; a layout-1 [serve.snap]
-   (the whole state in one file) is rejected and cold-started. *)
-let serve_layout_version = 2
+   Layout 2 is the manifest + [states/] split (a layout-1 [serve.snap],
+   the whole state in one file, is rejected and cold-started); layout 3
+   drops the per-method and class-hierarchy fingerprints from the frozen
+   state, so a layout-2 directory is likewise a logged cold start. *)
+let serve_layout_version = 3
 
 let snapshot_version ~engine = (serve_layout_version * 1000) + engine
 let serve_snapshot_version = snapshot_version ~engine:C.Engine.snapshot_version
@@ -130,7 +128,8 @@ let digest_line line = Digest.to_hex (Digest.string (String.trim line))
 let config_fingerprint cfg =
   C.Cache.key ~config:cfg.sv_config
     ~scope:
-      (Printf.sprintf "serve-config;mode=%s;roots=%s" (mode_name cfg.sv_mode)
+      (Printf.sprintf "serve-config;mode=%s;roots=%s"
+         (C.Engine.mode_name cfg.sv_mode)
          (String.concat "," cfg.sv_roots))
     ~source:""
 
@@ -159,8 +158,8 @@ let log_error t what e =
   t.cfg.sv_log (Printf.sprintf "serve %s failed: %s" what e)
 
 (* After a manifest naming exactly [keep] is published: unlink every
-   other entry this daemon wrote, plus the previous daemon's ones.  An
-   unlink that fails is retried after the next publish. *)
+   other entry this daemon wrote.  An unlink that fails is retried after
+   the next publish. *)
 let unlink_unnamed t dir ~keep =
   let doomed =
     List.sort_uniq String.compare
@@ -292,25 +291,12 @@ let journal_append t ~digest ~ok resp_json =
 
 (* ------------------------------ responses ----------------------------- *)
 
-let metrics_json (m : C.Metrics.t) =
-  Json.Obj
-    [ ("reachable_methods", Json.Int m.C.Metrics.reachable_methods);
-      ("type_checks", Json.Int m.C.Metrics.type_checks);
-      ("null_checks", Json.Int m.C.Metrics.null_checks);
-      ("prim_checks", Json.Int m.C.Metrics.prim_checks);
-      ("poly_calls", Json.Int m.C.Metrics.poly_calls);
-      ("mono_calls", Json.Int m.C.Metrics.mono_calls);
-      ("binary_size", Json.Int m.C.Metrics.binary_size);
-      ("flows", Json.Int m.C.Metrics.flows);
-      ("instantiated_types", Json.Int m.C.Metrics.instantiated_types);
-    ]
-
 let summary_json t ~wall_us (o : I.outcome) =
   let st = o.I.o_state in
   let m = st.I.metrics in
   Json.Obj
     ([ ("analysis", Json.Str (C.Config.name t.cfg.sv_config));
-       ("engine", Json.Str (mode_name t.cfg.sv_mode));
+       ("engine", Json.Str (C.Engine.mode_name t.cfg.sv_mode));
        ("strategy", Json.Str (I.strategy_name o.I.o_strategy));
      ]
     @ (match I.strategy_reason o.I.o_strategy with
@@ -319,7 +305,7 @@ let summary_json t ~wall_us (o : I.outcome) =
     @ [ ("verified", Json.Bool o.I.o_verified);
         ("generation", Json.Int st.I.generation);
         ("degraded", Json.Bool m.C.Metrics.degraded);
-        ("metrics", metrics_json m);
+        ("metrics", P.metrics_json m);
         ("wall_us", Json.Int wall_us);
       ])
 
@@ -356,7 +342,7 @@ let profile_json t (st : I.state) =
   in
   Json.Obj
     [ ("analysis", Json.Str (C.Config.name t.cfg.sv_config));
-      ("engine", Json.Str (mode_name t.cfg.sv_mode));
+      ("engine", Json.Str (C.Engine.mode_name t.cfg.sv_mode));
       ("generation", Json.Int st.I.generation);
       ( "stats",
         Json.Obj
@@ -653,9 +639,10 @@ let restore t dir m =
 
 (** Unlink what no manifest names: entries a crashed daemon wrote but
     never published, entries whose post-publish unlink never ran,
-    entries rejected on restore, and the tmp files of interrupted atomic
-    writes.  One daemon owns a state directory, so no live writer can
-    own a tmp file at this point. *)
+    entries rejected on restore, every entry of a session a fresh start
+    discarded, and the tmp files of interrupted atomic writes.  One
+    daemon owns a state directory, so no live writer can own a tmp file
+    at this point. *)
 let sweep t dir =
   let keep = List.map (fun d -> d ^ entry_suffix) (t.on_disk @ t.stale) in
   let sweep_dir d doomed =
@@ -676,6 +663,47 @@ let sweep t dir =
   let manifest_tmp = Filename.basename (snap_path dir) ^ ".tmp." in
   sweep_dir dir (String.starts_with ~prefix:manifest_tmp)
 
+(** A start without [--resume] begins a new session: the previous
+    session's manifest and journal go together, before anything else
+    touches the directory, or the new session's journal lines would be
+    replayed against the old session's state (or the reverse) by a later
+    [--resume].  The manifest goes first: a crash between the two
+    unlinks leaves no manifest and the old journal, which a resume
+    replays from a cold start by re-executing every journaled mutation —
+    still one consistent session.  The entries the old manifest named
+    are orphans from here on, which {!sweep} unlinks. *)
+let discard_previous_session dir =
+  let unlink path =
+    Result.map (fun () -> C.Io.fsync_dir dir) (C.Io.unlink path)
+  in
+  Result.bind (unlink (snap_path dir)) (fun () -> unlink (journal_path dir))
+
+(** Warm start from [dir] with [resume]: the manifest (guarded by CRC,
+    schema version and the configuration fingerprint), the resident entry
+    (CRC, version, its digest, and the Verify certifier), the memo
+    entries and the journal for replay — any suspicion of the resident
+    entry falls back to a cold start with a warning; a bad memo entry
+    just drops out of the memo.  Without [resume], a fresh session. *)
+let open_state_dir t ~resume dir =
+  ignore (C.Io.mkdir_p (states_dir dir));
+  let started =
+    if resume then begin
+      (match read_manifest dir with
+      | Error msg -> t.cfg.sv_log msg
+      | Ok None -> ()
+      | Ok (Some m) -> restore t dir m);
+      t.replay <- read_journal (journal_path dir);
+      Ok ()
+    end
+    else
+      Result.map_error
+        (fun e ->
+          "cannot discard the previous serve session: " ^ C.Io.error_message e)
+        (discard_previous_session dir)
+  in
+  sweep t dir;
+  started
+
 let create ?initial ~resume cfg =
   let t =
     {
@@ -695,24 +723,14 @@ let create ?initial ~resume cfg =
       digests = [];
     }
   in
-  Option.iter
-    (fun dir ->
-      ignore (C.Io.mkdir_p (states_dir dir));
-      (* warm start: the manifest (guarded by CRC, schema version and the
-         configuration fingerprint), the resident entry (CRC, version, its
-         digest, and the Verify certifier) and the memo entries — any
-         suspicion of the resident entry falls back to a cold start with
-         a warning; a bad memo entry just drops out of the memo *)
-      (match read_manifest dir with
-      | Error msg -> if resume then cfg.sv_log msg
-      | Ok None -> ()
-      | Ok (Some m) ->
-          if resume then restore t dir m else t.stale <- manifest_entries m);
-      if resume then t.replay <- read_journal (journal_path dir);
-      sweep t dir)
-    cfg.sv_state_dir;
+  let started =
+    match cfg.sv_state_dir with
+    | None -> Ok ()
+    | Some dir -> open_state_dir t ~resume dir
+  in
   let initial_result =
-    if t.st <> None then Ok () (* the snapshot wins over [initial] *)
+    if Result.is_error started then started
+    else if t.st <> None then Ok () (* the snapshot wins over [initial] *)
     else
       match initial with
       | None -> Ok ()

@@ -59,8 +59,12 @@ val create : ?initial:Api.source -> resume:bool -> cfg -> (t, string) result
     the resident entry falls back to a cold start with a logged warning,
     never a refusal, and a bad memo entry is logged and left out of the
     memo) and the journal is loaded for replay.  A resumed daemon
-    prefers the snapshot over [initial].  With a state dir, entries no
-    manifest names and tmp files of interrupted writes are swept. *)
+    prefers the snapshot over [initial].  With a state dir and
+    [resume:false], the previous session's manifest and journal are
+    unlinked first (manifest, then journal), so the new session's journal
+    holds only its own lines; failing that is an [Error].  With a state
+    dir, entries no manifest names and tmp files of interrupted writes
+    are swept. *)
 
 val handle_line : t -> string -> string list
 (** Process one request line to completion: parse, replay-match,

@@ -28,36 +28,9 @@ let reachable_ids e =
     (fun acc (m : Program.meth) -> Ids.Meth.Set.add m.Program.m_id acc)
     Ids.Meth.Set.empty (C.Engine.reachable_methods e)
 
-(* Flow-by-flow fixed-point comparison.  Per-method flow lists are in
-   construction order, which is deterministic for a given method, so
-   zipping the two runs' graphs lines the flows up 1:1. *)
-let check_same_fixed_point ~ctx (a : C.Analysis.result) (b : C.Analysis.result) =
-  let ea = a.C.Analysis.engine and eb = b.C.Analysis.engine in
-  if not (Ids.Meth.Set.equal (reachable_ids ea) (reachable_ids eb)) then
-    Alcotest.failf "%s: reachable sets differ" ctx;
-  List.iter
-    (fun (ga : C.Graph.method_graph) ->
-      let mid = ga.C.Graph.g_meth.Program.m_id in
-      match C.Engine.graph_of eb mid with
-      | None -> Alcotest.failf "%s: method missing in reference run" ctx
-      | Some gb ->
-          let fa = ga.C.Graph.g_flows and fb = gb.C.Graph.g_flows in
-          if List.length fa <> List.length fb then
-            Alcotest.failf "%s: flow counts differ for a method" ctx;
-          List.iter2
-            (fun (x : C.Flow.t) (y : C.Flow.t) ->
-              if x.C.Flow.enabled <> y.C.Flow.enabled then
-                Alcotest.failf "%s: enabled bit differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id;
-              if not (C.Vstate.equal x.C.Flow.state y.C.Flow.state) then
-                Alcotest.failf "%s: state differs on flow %d/%d: %a vs %a" ctx
-                  x.C.Flow.id y.C.Flow.id C.Vstate.pp x.C.Flow.state C.Vstate.pp
-                  y.C.Flow.state;
-              if not (C.Vstate.equal x.C.Flow.raw y.C.Flow.raw) then
-                Alcotest.failf "%s: raw state differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id)
-            fa fb)
-    (C.Engine.graphs ea)
+let expect_same_fixed_point ~ctx (a : C.Analysis.result) (b : C.Analysis.result) =
+  Result.iter_error (Alcotest.failf "%s: %s" ctx)
+    (C.Verify.same_fixed_point a.C.Analysis.engine b.C.Analysis.engine)
 
 let test_dedup_matches_reference_fuzz () =
   for seed = 0 to 11 do
@@ -74,7 +47,7 @@ let test_dedup_matches_reference_fuzz () =
       (fun (name, config) ->
         let d = run ~mode:C.Engine.Dedup ~config prog main in
         let r = run ~mode:C.Engine.Reference ~config prog main in
-        check_same_fixed_point ~ctx:(Printf.sprintf "seed %d, %s" seed name) d r)
+        expect_same_fixed_point ~ctx:(Printf.sprintf "seed %d, %s" seed name) d r)
       [ ("skipflow", C.Config.skipflow); ("pta", C.Config.pta) ]
   done
 
@@ -126,7 +99,7 @@ let test_dedup_processes_fewer_tasks () =
   let check ctx prog main =
     let d = run ~mode:C.Engine.Dedup prog main in
     let r = run ~mode:C.Engine.Reference prog main in
-    check_same_fixed_point ~ctx d r;
+    expect_same_fixed_point ~ctx d r;
     let td = (C.Engine.stats d.C.Analysis.engine).C.Engine.tasks_processed
     and tr = (C.Engine.stats r.C.Analysis.engine).C.Engine.tasks_processed in
     if not (td < tr) then

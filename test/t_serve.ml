@@ -227,7 +227,7 @@ let test_incremental_matches_fresh () =
   in
   let certify label (st : I.state) =
     match
-      I.same_fixed_point st.I.engine
+      C.Verify.same_fixed_point st.I.engine
         (fresh_engine ~source:st.I.source ~roots:st.I.roots)
     with
     | Ok () -> ()
@@ -261,9 +261,9 @@ let test_incremental_matches_fresh () =
   in
   certify "initial" st;
   let st = edit "same source is resident" st base_src "resident" in
-  let st = edit "dead-body edit reuses" st dead_edit "reuse" in
+  let st = edit "dead-body edit solves fully" st dead_edit "full" in
   let st = edit "live-body edit resolves fully" st live_edit "full" in
-  let st = edit "revert to reused state hits the memo" st dead_edit "memo" in
+  let st = edit "revert to the dead-body edit hits the memo" st dead_edit "memo" in
   let st = edit "revert to base hits the memo" st base_src "memo" in
   let st =
     analyze "grown roots re-drain" st [ "Main.main"; "Dead.never" ] "redrain"
@@ -277,9 +277,11 @@ let test_incremental_matches_fresh () =
         (Printf.sprintf "strategy %s exercised" s)
         true
         (List.mem s !seen))
-    [ "resident"; "memo"; "reuse"; "redrain"; "full" ]
+    [ "resident"; "memo"; "redrain"; "full" ]
 
-(* A reuse or redrain outcome must have passed the certifier. *)
+(* An edit the memo does not hold, even one confined to a dead body, is
+   solved from scratch and equals a fresh solve; a redrain outcome must
+   have passed the certifier. *)
 let test_incremental_verified_flag () =
   let memo = I.Memo.create 4 in
   let st =
@@ -291,9 +293,15 @@ let test_incremental_verified_flag () =
     | Error e -> Alcotest.failf "initial solve: %s" (P.error_message e)
   in
   (match I.edit ~config ~mode ~deadline_ms:None ~memo st ~source:dead_edit with
-  | Ok o ->
-      Alcotest.(check string) "reuse" "reuse" (I.strategy_name o.I.o_strategy);
-      Alcotest.(check bool) "reuse is certified" true o.I.o_verified
+  | Ok o -> (
+      Alcotest.(check string) "dead-body edit" "full"
+        (I.strategy_name o.I.o_strategy);
+      match
+        C.Verify.same_fixed_point o.I.o_state.I.engine
+          (fresh_engine ~source:dead_edit ~roots:[])
+      with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "dead-body edit diverged: %s" msg)
   | Error e -> Alcotest.failf "edit: %s" (P.error_message e));
   match
     I.analyze_roots ~config ~mode ~deadline_ms:None ~memo st
@@ -432,6 +440,89 @@ let test_memory_ceiling_sheds () =
       Alcotest.(check (list int)) "only health and shutdown journaled" [ 5; 6 ]
         journaled_ids)
 
+(* ---------------- an edit to a dead body, read back later --------------- *)
+
+(* examples/lint_demo.mj, whose [Main.debug] is dead under SkipFlow, plus
+   an uncalled [Main.helper]; and two edits confined to [Main.debug]: one
+   makes it call [Main.helper], one shifts every later line down by six.
+   Read when a test runs: the file is relative to the test directory. *)
+let demo_sources () =
+  let src =
+    replace ~sub:"  static void debug() { }\n"
+      ~by:"  static void debug() { }\n  static void helper() { }\n"
+      (In_channel.with_open_bin "../examples/lint_demo.mj" In_channel.input_all)
+  in
+  let edit_debug by = replace ~sub:"static void debug() { }" ~by src in
+  ( src,
+    edit_debug "static void debug() { Main.helper(); }",
+    edit_debug "static void debug() {\n\n\n\n\n\n  }" )
+
+let result_of j =
+  match K.Json.member "result" j with
+  | Some r -> r
+  | None -> Alcotest.failf "response has no result"
+
+let expect_ok label j =
+  if not (bool_member "ok" j) then
+    Alcotest.failf "%s: %s" label (K.Json.to_compact_string j)
+
+(* Grown roots after a dead-body edit re-drain the program the edit sent,
+   not the one before it: [Main.debug] as a root now reaches
+   [Main.helper], exactly as a fresh solve of the edited source does. *)
+let test_grown_roots_after_dead_edit () =
+  let demo_src, demo_call_edit, _ = demo_sources () in
+  let srv = create_exn ~initial:(`Text demo_src) ~resume:false quiet_cfg in
+  let j = one_response (Sv.handle_line srv (edit_req 1 demo_call_edit)) in
+  expect_ok "dead-body edit" j;
+  let roots = [ "Main.main"; "Main.debug" ] in
+  let j =
+    one_response
+      (Sv.handle_line srv
+         (op_req 2 "analyze"
+            ~extra:[ ("roots", K.Json.Arr (List.map (fun r -> K.Json.Str r) roots)) ]))
+  in
+  expect_ok "grown roots" j;
+  let fresh = fresh_engine ~source:demo_call_edit ~roots in
+  (match K.Json.member "metrics" (result_of j) with
+  | Some m ->
+      Alcotest.(check int) "reachable methods as a fresh solve"
+        (C.Engine.reachable_methods fresh |> List.length)
+        (int_member "reachable_methods" m)
+  | None -> Alcotest.fail "analyze response has no metrics");
+  match Sv.state srv with
+  | None -> Alcotest.fail "no resident state"
+  | Some st -> (
+      match C.Verify.same_fixed_point st.I.engine fresh with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "grown roots diverged from a fresh solve: %s" msg)
+
+(* [lint] after a dead-body edit reports on the edited source: the same
+   findings, with the same lines, as a one-shot [Checks.run] of it. *)
+let test_lint_after_dead_edit () =
+  let demo_src, demo_call_edit, demo_shift_edit = demo_sources () in
+  let one_shot source =
+    match Api.analyze ~config ~mode ~source:(`Text source) ~roots:[] () with
+    | Error e -> Alcotest.failf "one-shot analyze: %s" (Api.error_message e)
+    | Ok s ->
+        let prog = C.Engine.prog_of s.Api.engine in
+        let roots = Result.get_ok (Api.resolve_roots prog []) in
+        K.Json.to_compact_string
+          (K.Finding.document_to_json ~file:"<resident>"
+             ~analysis:(C.Config.name config)
+             (K.Checks.run (K.Checks.make_ctx ~engine:s.Api.engine ~roots)))
+  in
+  List.iter
+    (fun (label, source) ->
+      let srv = create_exn ~initial:(`Text demo_src) ~resume:false quiet_cfg in
+      expect_ok label (one_response (Sv.handle_line srv (edit_req 1 source)));
+      let j = one_response (Sv.handle_line srv (op_req 2 "lint")) in
+      expect_ok (label ^ ": lint") j;
+      Alcotest.(check string) (label ^ ": lint as one-shot") (one_shot source)
+        (K.Json.to_compact_string (result_of j)))
+    [ ("call to an uncalled helper", demo_call_edit);
+      ("six lines added", demo_shift_edit);
+    ]
+
 (* ----------------------- kill -9 and warm restart ----------------------- *)
 
 let session_lines =
@@ -506,7 +597,7 @@ let test_corrupt_snapshot_cold_start () =
       | None -> Alcotest.fail "no resident state after recovery edit"
       | Some st -> (
           match
-            I.same_fixed_point st.I.engine
+            C.Verify.same_fixed_point st.I.engine
               (fresh_engine ~source:base_src ~roots:[])
           with
           | Ok () -> ()
@@ -603,7 +694,7 @@ let dead_edits srv edits =
       replace ~sub:"return 2" ~by:(Printf.sprintf "return %d" (100 + k)) base_src
     in
     let j = one_response (Sv.handle_line srv (edit_req k source)) in
-    Alcotest.(check string) "dead-body edit reuses" "reuse" (strategy_of j)
+    Alcotest.(check string) "dead-body edit solves fully" "full" (strategy_of j)
   done
 
 (* The manifest names entries by digest and holds no state bytes, so it
@@ -655,7 +746,7 @@ let check_fresh label srv ~source =
   match Sv.state srv with
   | None -> Alcotest.failf "%s: no resident state" label
   | Some st -> (
-      match I.same_fixed_point st.I.engine (fresh_engine ~source ~roots:[]) with
+      match C.Verify.same_fixed_point st.I.engine (fresh_engine ~source ~roots:[]) with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "%s: diverged from a fresh solve: %s" label msg)
 
@@ -718,18 +809,46 @@ let test_orphans_swept_at_create () =
       Alcotest.(check (list string)) "named entries kept" named (states_of dir);
       Alcotest.(check int) "resident state restored" 1 (Sv.generation srv))
 
+let journal_lines dir =
+  match C.Io.read_file (Filename.concat dir "journal.jsonl") with
+  | Error e -> Alcotest.failf "journal unreadable: %s" (C.Io.error_message e)
+  | Ok contents ->
+      List.length
+        (K.Json.journal_payloads ~version:P.schema_version ~key:"journal" contents)
+
+(* A start without --resume is a new session: its journal holds only its
+   own responses, so a later --resume replays exactly those. *)
+let test_fresh_start_truncates_journal () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      ignore (run_all srv [ edit_req 1 base_src; op_req 2 "health"; edit_req 3 dead_edit ]);
+      Sv.finalize srv;
+      Alcotest.(check int) "first session journaled" 3 (journal_lines dir);
+      let second = [ edit_req 1 live_edit; op_req 2 "analyze" ] in
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      let straight = run_all srv second in
+      Alcotest.(check int) "second session's journal holds its own lines" 2
+        (journal_lines dir);
+      (* abandoned without finalize, then resumed with the same stream *)
+      let srv = create_exn ~resume:true (state_cfg dir) in
+      let replayed = run_all srv second in
+      Alcotest.(check (list string)) "resume replays the second session" straight
+        replayed;
+      Alcotest.(check int) "resumed at the second session's generation" 1
+        (Sv.generation srv))
+
 (* Entries are engine images too: one written under the previous engine
    schema is refused at its container (logged, cold start), never
    unmarshaled into the current engine's layout. *)
 let test_stale_entry_rejected () =
-  with_state_dir (fun dir ->
+  let current = Sv.snapshot_version ~engine:C.Engine.snapshot_version in
+  let check_rejected stale =
+    with_state_dir (fun dir ->
       let srv = create_exn ~resume:false (state_cfg dir) in
       ignore (run_all srv [ edit_req 1 base_src ]);
       Sv.finalize srv;
       Sys.remove (Filename.concat dir "journal.jsonl");
       let entry = Filename.concat (Filename.concat dir "states") (List.hd (states_of dir)) in
-      let current = Sv.snapshot_version ~engine:C.Engine.snapshot_version in
-      let stale = Sv.snapshot_version ~engine:(C.Engine.snapshot_version - 1) in
       let payload =
         match C.Snapshot.read ~path:entry ~kind:"serve-entry" ~version:current with
         | Ok p -> p
@@ -747,6 +866,11 @@ let test_stale_entry_rejected () =
       Alcotest.(check bool) "cold start" true (Sv.state srv = None);
       let j = one_response (Sv.handle_line srv (edit_req 2 base_src)) in
       Alcotest.(check bool) "cold-started daemon serves" true (bool_member "ok" j))
+  in
+  (* versions are [layout * 1000 + engine]: the previous engine schema,
+     and layout 2, whose frozen states still carried fingerprints *)
+  List.iter check_rejected
+    [ Sv.snapshot_version ~engine:(C.Engine.snapshot_version - 1); current - 1000 ]
 
 let suite =
   ( "serve",
@@ -758,8 +882,12 @@ let suite =
         test_serve_error_matrix;
       Alcotest.test_case "incremental matches fresh over the edit corpus"
         `Quick test_incremental_matches_fresh;
-      Alcotest.test_case "reuse and redrain are certified" `Quick
+      Alcotest.test_case "dead edit is full; redrain certified" `Quick
         test_incremental_verified_flag;
+      Alcotest.test_case "grown roots after a dead edit are fresh" `Quick
+        test_grown_roots_after_dead_edit;
+      Alcotest.test_case "lint after a dead edit is one-shot lint" `Quick
+        test_lint_after_dead_edit;
       Alcotest.test_case "structured errors, daemon survives them all" `Quick
         test_server_structured_errors;
       Alcotest.test_case "deadline trips roll the resident state back" `Quick
@@ -781,6 +909,8 @@ let suite =
         `Quick test_damaged_entry_on_resume;
       Alcotest.test_case "orphan entries and tmp files swept at create"
         `Quick test_orphans_swept_at_create;
+      Alcotest.test_case "fresh start truncates the journal" `Quick
+        test_fresh_start_truncates_journal;
       Alcotest.test_case "entry from the previous engine version rejected"
         `Quick test_stale_entry_rejected;
     ] )

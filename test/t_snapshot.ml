@@ -11,7 +11,6 @@
    - a snapshot survives a disk round trip through the container and the
      restored engine continues the paused run's counters. *)
 
-open Skipflow_ir
 module C = Skipflow_core
 module W = Skipflow_workloads
 
@@ -121,39 +120,8 @@ let test_container_rejects_corruption () =
 
 (* ----------------------- fixed-point equivalence ---------------------- *)
 
-let reachable_ids e =
-  List.fold_left
-    (fun acc (m : Program.meth) -> Ids.Meth.Set.add m.Program.m_id acc)
-    Ids.Meth.Set.empty (C.Engine.reachable_methods e)
-
-(* Same flow-by-flow comparison as the dedup/reference differential
-   tests: per-method flow lists are in deterministic construction order,
-   so zipping lines them up 1:1. *)
-let check_same_fixed_point ~ctx (ea : C.Engine.t) (eb : C.Engine.t) =
-  if not (Ids.Meth.Set.equal (reachable_ids ea) (reachable_ids eb)) then
-    Alcotest.failf "%s: reachable sets differ" ctx;
-  List.iter
-    (fun (ga : C.Graph.method_graph) ->
-      let mid = ga.C.Graph.g_meth.Program.m_id in
-      match C.Engine.graph_of eb mid with
-      | None -> Alcotest.failf "%s: method missing in resumed run" ctx
-      | Some gb ->
-          let fa = ga.C.Graph.g_flows and fb = gb.C.Graph.g_flows in
-          if List.length fa <> List.length fb then
-            Alcotest.failf "%s: flow counts differ for a method" ctx;
-          List.iter2
-            (fun (x : C.Flow.t) (y : C.Flow.t) ->
-              if x.C.Flow.enabled <> y.C.Flow.enabled then
-                Alcotest.failf "%s: enabled bit differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id;
-              if not (C.Vstate.equal x.C.Flow.state y.C.Flow.state) then
-                Alcotest.failf "%s: state differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id;
-              if not (C.Vstate.equal x.C.Flow.raw y.C.Flow.raw) then
-                Alcotest.failf "%s: raw state differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id)
-            fa fb)
-    (C.Engine.graphs ea)
+let expect_same_fixed_point ~ctx ea eb =
+  Result.iter_error (Alcotest.failf "%s: %s" ctx) (C.Verify.same_fixed_point ea eb)
 
 let corpus =
   List.map
@@ -211,7 +179,7 @@ let test_pause_resume_identical_fixed_point () =
               | C.Engine.Completed -> ()
               | C.Engine.Paused _ ->
                   Alcotest.failf "%s: unlimited resume paused again" ctx);
-              check_same_fixed_point ~ctx straight.C.Analysis.engine
+              expect_same_fixed_point ~ctx straight.C.Analysis.engine
                 finished.C.Analysis.engine)
             [ ("dedup", C.Engine.Dedup); ("ref", C.Engine.Reference) ])
         [
@@ -257,7 +225,7 @@ let test_double_resume_deterministic () =
                 incr double_paused;
                 resume_exn ~ctx ~budget:C.Budget.unlimited bytes2)
       in
-      check_same_fixed_point ~ctx straight.C.Analysis.engine
+      expect_same_fixed_point ~ctx straight.C.Analysis.engine
         finished.C.Analysis.engine)
     corpus;
   Alcotest.(check bool)
@@ -301,7 +269,7 @@ let test_snapshot_disk_round_trip () =
       Alcotest.(check bool) "counters continue, not restart" true (after > before);
       (* … and reaches the same fixed point as an uninterrupted solve *)
       let straight = C.Analysis.run prog ~roots:[ main ] in
-      check_same_fixed_point ~ctx:"disk round trip"
+      expect_same_fixed_point ~ctx:"disk round trip"
         straight.C.Analysis.engine restored;
       (* feeding a cache entry to the engine loader is a kind mismatch,
          not a crash *)
